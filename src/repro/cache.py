@@ -302,18 +302,37 @@ class SynthesisCache:
         enabled_rules: Iterable[str],
     ) -> str:
         """Content key of one module's lint result."""
+        return self.lint_keys(source_texts, [module], enabled_rules)[0]
+
+    def lint_keys(
+        self, source_texts: Iterable[str], modules: Iterable[str],
+        enabled_rules: Iterable[str],
+    ) -> list[str]:
+        """:meth:`lint_key` of every module in ``modules``, in order.
+
+        The salt and the source texts are hashed once and the digest state
+        is copied per module, so keying a whole design costs one pass over
+        its sources rather than one pass per module.
+        """
         from repro.lint.rules import LINT_VERSION
 
-        h = hashlib.sha256()
-        h.update(self.salt.encode("utf-8"))
-        h.update(f"\x00lint{LINT_VERSION}\x00".encode("utf-8"))
+        prefix = hashlib.sha256()
+        prefix.update(self.salt.encode("utf-8"))
+        prefix.update(f"\x00lint{LINT_VERSION}\x00".encode("utf-8"))
         for text in source_texts:
-            h.update(b"\x00source\x00")
-            h.update(text.encode("utf-8"))
-        h.update(b"\x00module\x00" + module.encode("utf-8"))
-        for rule in sorted(enabled_rules):
-            h.update(f"\x00rule\x00{rule}".encode("utf-8"))
-        return h.hexdigest()
+            prefix.update(b"\x00source\x00")
+            prefix.update(text.encode("utf-8"))
+        rules = b"".join(
+            f"\x00rule\x00{rule}".encode("utf-8")
+            for rule in sorted(enabled_rules)
+        )
+        keys = []
+        for module in modules:
+            h = prefix.copy()
+            h.update(b"\x00module\x00" + module.encode("utf-8"))
+            h.update(rules)
+            keys.append(h.hexdigest())
+        return keys
 
     def lint_path(self, key: str) -> Path:
         return self.directory / "lint" / key[:2] / f"{key}.pkl"

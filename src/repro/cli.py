@@ -21,8 +21,10 @@ Subcommands:
   top self-time spans, critical path, per-worker utilization and the
   serialization share, with ``--flame`` (collapsed stacks) and
   ``--chrome-trace`` (Perfetto) exports.
-* ``bench-diff`` -- gate BENCH_obs.json against its own history: exit 1
-  when a benchmark or derived series breaches its tolerance.
+* ``bench-diff`` -- gate a benchmark history (default: the tracked
+  baseline) against itself: exit 1 when a benchmark or derived series
+  breaches its tolerance; ``--record N`` appends a session to the
+  baseline instead.
 
 Failure handling (see DESIGN.md, "Failure handling & degradation ladder"):
 every subcommand maps its outcome onto three exit codes --
@@ -68,6 +70,10 @@ from repro.runtime.diagnostics import (
     exit_code,
     render_report,
 )
+
+#: The tracked, curated perf history (one entry per change), relative to
+#: the repository root; ``BENCH_obs.json`` is the local per-session one.
+BENCH_BASELINE = "benchmarks/baseline.json"
 
 
 def _supervision_from_args(
@@ -552,6 +558,16 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
     from repro.obs import benchdiff
 
     try:
+        if args.record is not None:
+            history = benchdiff.load_bench_obs(args.file)["history"]
+            if not history:
+                raise ValueError(f"{args.file}: no session to record")
+            entry = benchdiff.record_baseline(
+                history[-1], BENCH_BASELINE, args.record
+            )
+            print(f"recorded {len(entry['series'])} series as change "
+                  f"{entry['pr']} ({entry['machine']}) in {BENCH_BASELINE}")
+            return EXIT_OK
         config = benchdiff.load_config(args.config)
         data = benchdiff.load_bench_obs(args.file)
         report = benchdiff.diff_history(data, config)
@@ -865,13 +881,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-diff",
-        help="diff the latest BENCH_obs.json session against its history; "
+        help="diff the latest benchmark session against its history; "
              "exit 1 on a tolerance breach",
         parents=[common],
     )
     p.add_argument(
-        "file", nargs="?", default="BENCH_obs.json",
-        help="benchmark observations file (default: ./BENCH_obs.json)",
+        "file", nargs="?", default=BENCH_BASELINE,
+        help="benchmark history file (default: the tracked baseline "
+             f"./{BENCH_BASELINE}; the local per-session history is "
+             "./BENCH_obs.json)",
+    )
+    p.add_argument(
+        "--record", type=int, metavar="N", default=None,
+        help="instead of diffing, append FILE's latest session to the "
+             f"tracked baseline ./{BENCH_BASELINE} as change N "
+             "(replacing an earlier entry for N)",
     )
     p.add_argument(
         "--config", metavar="FILE", default=None,

@@ -35,6 +35,7 @@ from repro.elab.elaborator import (
     elaborate,
 )
 from repro.hdl import ast
+from repro.obs import metrics as obs_metrics
 
 #: Upper bound on per-parameter search.
 MAX_PARAM_SEARCH = 256
@@ -63,14 +64,29 @@ def degeneracy_events(
 
     Events are collected over the module itself and everything it
     instantiates (a degenerate child makes the parameterization degenerate).
+    Answers are memoized per design and trial binding (successful ones
+    only: an unexpected exception is raised again on every call).
     """
+    obs_metrics.counter("account.trials").inc()
+    memo = design.memo("degeneracy.trials")
+    key = (module_name, tuple(sorted((parameters or {}).items())))
+    cached = memo.get(key)
+    if cached is not None:
+        obs_metrics.counter("account.trial_memo_hits").inc()
+        return list(cached)
     try:
         hierarchy = elaborate(design, module_name, parameters)
     except ElaborationError as exc:
-        return [DegeneracyEvent(module_name, "elaboration-failure", str(exc))]
-    events: list[DegeneracyEvent] = []
-    for spec in hierarchy.specializations.values():
-        events.extend(_module_events(spec))
+        events = [DegeneracyEvent(module_name, "elaboration-failure", str(exc))]
+    else:
+        spec_events = design.memo("degeneracy.specs")
+        events = []
+        for spec_key, spec in hierarchy.specializations.items():
+            found = spec_events.get(spec_key)
+            if found is None:
+                found = spec_events[spec_key] = tuple(_module_events(spec))
+            events.extend(found)
+    memo[key] = tuple(events)
     return events
 
 
@@ -404,7 +420,21 @@ def minimal_parameters(
     with the plain dict this function used to return, plus per-parameter
     :class:`BlockedMinimization` provenance (the degeneracy events at the
     next smaller value) that the lint rule ACC002 and error hints render.
+    The result is memoized per design: accounting asks once per instance
+    and the linter once per module, and every ask after the first is free.
     """
+    memo = design.memo("degeneracy.minimal")
+    key = (module_name, max_rounds)
+    cached = memo.get(key)
+    if cached is None:
+        cached = memo[key] = _search_minimal(design, module_name, max_rounds)
+    return cached
+
+
+def _search_minimal(
+    design: ast.Design, module_name: str, max_rounds: int
+) -> MinimalParameters:
+    """The uncached fixpoint search behind :func:`minimal_parameters`."""
     module = design.module(module_name)
     params = [p.name for p in module.params]
     if not params:

@@ -141,6 +141,8 @@ def elaborate(
         worker = _Elaborator(design)
         top_spec = worker.specialize(top, dict(parameters or {}), stack=())
         obs_metrics.counter("elab.elaborations").inc()
+        if worker.reused:
+            obs_metrics.counter("elab.subtree_reuse").inc(worker.reused)
         sp.set_attr("specializations", len(worker.specializations))
         return DesignHierarchy(
             design=design,
@@ -149,10 +151,30 @@ def elaborate(
         )
 
 
+@dataclass(frozen=True)
+class _Subtree:
+    """A memoized, fully elaborated subtree rooted at one specialization.
+
+    ``children`` are the child spec keys in instance order; ``modules`` is
+    every module name reachable from the root (root included).  Only
+    subtrees in which no module repeats along any instantiation path are
+    stored, so replaying one can never skip a recursion error.
+    """
+
+    spec: ElaboratedModule
+    children: tuple[tuple, ...]
+    modules: frozenset[str]
+
+
 class _Elaborator:
     def __init__(self, design: ast.Design) -> None:
         self.design = design
         self.specializations: dict[tuple, ElaboratedModule] = {}
+        # Shared by every elaborate() call on this design (see
+        # ast.Design.memo); holds successful subtrees only, so a failing
+        # elaboration is recomputed -- and raises -- every time.
+        self.memo: dict[tuple, _Subtree] = design.memo("elab.subtrees")
+        self.reused = 0
 
     def specialize(
         self, module_name: str, overrides: dict[str, int], stack: tuple[str, ...]
@@ -196,6 +218,11 @@ class _Elaborator:
         key = (module_name, tuple(sorted(public.items())))
         if key in self.specializations:
             return self.specializations[key]
+        memo = self.memo.get(key)
+        if memo is not None and memo.modules.isdisjoint(stack):
+            self.reused += 1
+            self._replay(key)
+            return memo.spec
 
         spec = ElaboratedModule(
             name=module_name,
@@ -215,11 +242,39 @@ class _Elaborator:
         self._walk_items(module.items, spec, bindings={}, prefix="", stack=stack)
         self.specializations[key] = spec
         # Recurse into children after the body is fully expanded.
-        for inst in spec.instances:
+        children = tuple(
             self.specialize(
                 inst.module_name, dict(inst.parameters), stack + (module_name,)
-            )
+            ).key
+            for inst in spec.instances
+        )
+        self._commit(key, spec, children)
         return spec
+
+    def _commit(
+        self, key: tuple, spec: ElaboratedModule, children: tuple[tuple, ...]
+    ) -> None:
+        """Memoize a subtree whose children all elaborated successfully.
+
+        A child missing from the memo was itself not storable (a module
+        repeats below it), which makes this subtree unstorable too.
+        """
+        modules = {spec.name}
+        for child in children:
+            sub = self.memo.get(child)
+            if sub is None or spec.name in sub.modules:
+                return
+            modules |= sub.modules
+        self.memo[key] = _Subtree(spec, children, frozenset(modules))
+
+    def _replay(self, key: tuple) -> None:
+        """Insert a memoized subtree in the order a fresh walk would."""
+        if key in self.specializations:
+            return
+        sub = self.memo[key]
+        self.specializations[key] = sub.spec
+        for child in sub.children:
+            self._replay(child)
 
     # -- helpers ------------------------------------------------------------
 

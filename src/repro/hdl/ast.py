@@ -318,14 +318,41 @@ class Module:
 
 @dataclass
 class Design:
-    """A set of modules, e.g. everything parsed from one or more files."""
+    """A set of modules, e.g. everything parsed from one or more files.
+
+    A design also carries an analysis memo (:meth:`memo`): results that are
+    pure functions of the module set, such as elaborated subtrees and
+    degeneracy answers, computed once and shared by every later call on
+    the same design.  The memo is dropped by :meth:`add`, is not part of
+    equality, and is never pickled, so worker payloads carry the modules
+    only.
+    """
 
     modules: dict[str, Module] = field(default_factory=dict)
+    _memo: dict[str, dict] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add(self, module: Module) -> None:
         if module.name in self.modules:
             raise ValueError(f"duplicate module {module.name!r}")
         self.modules[module.name] = module
+        self._memo.clear()
+
+    def memo(self, namespace: str) -> dict:
+        """The analysis memo table ``namespace`` (created empty on first use).
+
+        Entries must be pure functions of :attr:`modules`; values are
+        shared between callers and treated as read-only.
+        """
+        return self._memo.setdefault(namespace, {})
+
+    def __getstate__(self) -> dict:
+        return {"modules": self.modules}
+
+    def __setstate__(self, state: dict) -> None:
+        self.modules = state["modules"]
+        self._memo = {}
 
     def merge(self, other: "Design") -> "Design":
         merged = Design(dict(self.modules))

@@ -267,10 +267,11 @@ def lint_design(
         to_compute = names
         if cache is not None and source_texts is not None:
             enabled = [code for code in RULES if config.enabled(code)]
+            keys = dict(zip(names, cache.lint_keys(  # type: ignore[attr-defined]
+                source_texts, names, enabled
+            )))
             to_compute = []
-            for name in names:
-                key = cache.lint_key(source_texts, name, enabled)  # type: ignore[attr-defined]
-                keys[name] = key
+            for name, key in keys.items():
                 hit = cache.load_lint(key)  # type: ignore[attr-defined]
                 if hit is not None:
                     by_name[name] = hit

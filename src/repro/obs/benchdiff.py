@@ -44,13 +44,25 @@ Tolerances load from a TOML file (stdlib ``tomllib``)::
     direction = "higher"
     min_value = 1.0
 
-Everything here is pure data-in/data-out; the CLI owns I/O and exit
+**Tracked baseline.**  ``BENCH_obs.json`` is local and noisy (one entry
+per benchmark session, never committed).  The repository instead tracks
+``benchmarks/baseline.json``, a curated history in the same format
+holding only one entry per change: the derived ``series`` of one benchmark
+session, tagged with the change number, ``nproc`` and a
+:func:`machine_fingerprint` so a reader can tell a slower machine from a
+slower program.  :func:`record_baseline` (``ucomplexity bench-diff
+BENCH_obs.json --record N``) appends or replaces that entry;
+``bench-diff`` with no file argument gates the baseline itself.
+
+Everything else here is pure data-in/data-out; the CLI owns I/O and exit
 codes (0 = ok, 1 = regression, 2 = unusable input).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import re
 import statistics
 from dataclasses import dataclass, field
@@ -180,6 +192,62 @@ def load_bench_obs(path: str | Path) -> dict:
             "(run the benchmarks at least once)"
         )
     return data
+
+
+# -- the tracked baseline ----------------------------------------------------
+
+
+def machine_fingerprint() -> str:
+    """``<arch>/<cpu model>/<n>cpu``: enough to tell two hosts apart."""
+    model = platform.processor() or ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.partition(":")[2].strip()
+                    break
+    except OSError:
+        pass
+    model = re.sub(r"\s+", " ", model) or "unknown"
+    return f"{platform.machine()}/{model}/{os.cpu_count() or 1}cpu"
+
+
+def record_baseline(
+    candidate: Mapping, baseline_path: str | Path, pr: int
+) -> dict:
+    """Append ``candidate``'s series to the tracked baseline as change ``pr``.
+
+    An existing entry for the same change is replaced, so the file keeps
+    one entry per change in recording order.  Returns the new entry.
+    """
+    path = Path(baseline_path)
+    try:
+        data = load_bench_obs(path)
+    except ValueError:
+        if path.exists():
+            raise
+        data = {"history": []}
+    series = {
+        key: value for key, value in (candidate.get("series") or {}).items()
+        if isinstance(value, (int, float))
+    }
+    if not series:
+        raise ValueError("candidate session recorded no series to baseline")
+    entry = {
+        "pr": int(pr),
+        "timestamp": candidate.get("timestamp", ""),
+        "nproc": os.cpu_count() or 1,
+        "machine": machine_fingerprint(),
+        "series": dict(sorted(series.items())),
+    }
+    data["history"] = [
+        e for e in data["history"] if e.get("pr") != entry["pr"]
+    ] + [entry]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return entry
 
 
 # -- the diff ----------------------------------------------------------------

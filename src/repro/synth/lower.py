@@ -39,7 +39,7 @@ Bits = list[int]
 #: Lowering/library revision.  Part of the on-disk cache salt
 #: (:mod:`repro.cache`): bump whenever the cell library, decomposition, or
 #: optimization rules change the netlists this module produces.
-SYNTH_VERSION = 1
+SYNTH_VERSION = 2
 
 
 class SynthesisError(HdlError):
@@ -888,7 +888,9 @@ class _Lowerer:
         cond_e = not_c if cond is None else ast.Binary("&&", cond, not_c)
         self._exec_stmts(stmt.then_body, env_t, cond_t, writes, comb)
         self._exec_stmts(stmt.else_body, env_e, cond_e, writes, comb)
-        for name in set(env_t) | set(env_e):
+        # Merge in first-write order: set order would tie the mux build
+        # order (and so the mapped netlist) to the string hash seed.
+        for name in dict.fromkeys([*env_t, *env_e]):
             incoming = env.get(name, ast.Ident(name))
             t_val = env_t.get(name, incoming)
             e_val = env_e.get(name, incoming)

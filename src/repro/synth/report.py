@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.obs import trace as obs_trace
 from repro.synth.area import AreaReport, area_report
 from repro.synth.cones import fanin_logic_cones
 from repro.synth.fpga import FpgaReport, map_to_luts
@@ -76,21 +77,30 @@ def synthesis_metrics(
     if hierarchy is not None:
         from repro.flow.metrics import flow_report
 
-        flow = flow_report(
+        flow = flow_report(  # spanned as flow.metrics
             netlist,
             hierarchy.top,
             design if design is not None else hierarchy.design,
         )
-    timing = timing_report(netlist)
+    with obs_trace.span("synth.timing"):
+        timing = timing_report(netlist)
+    with obs_trace.span("synth.area"):
+        area = area_report(netlist)
+    with obs_trace.span("synth.power"):
+        power = power_report(netlist, timing.frequency_mhz)
+    with obs_trace.span("synth.lut_map"):
+        fpga = map_to_luts(netlist)
+    with obs_trace.span("synth.cones"):
+        fanin_lc_asic = fanin_logic_cones(netlist)
     return SynthesisReport(
         name=netlist.name,
         n_nets=netlist.n_nets,
         n_cells=netlist.n_cells,
         n_flipflops=netlist.n_flipflops,
-        area=area_report(netlist),
-        power=power_report(netlist, timing.frequency_mhz),
+        area=area,
+        power=power,
         timing=timing,
-        fpga=map_to_luts(netlist),
-        fanin_lc_asic=fanin_logic_cones(netlist),
+        fpga=fpga,
+        fanin_lc_asic=fanin_lc_asic,
         flow=flow,
     )

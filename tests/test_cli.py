@@ -274,11 +274,48 @@ class TestBenchDiff:
     def test_missing_file_is_fatal(self, capsys, tmp_path):
         assert main(["bench-diff", str(tmp_path / "absent.json")]) == 2
 
+    def test_record_keeps_one_baseline_entry_per_change(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.cli import BENCH_BASELINE
+
+        monkeypatch.chdir(tmp_path)
+        obs = self._write(
+            tmp_path,
+            {"timestamp": "t0", "series": {"s.rate": 1.0}},
+            {"timestamp": "t1", "benchmarks": {"b": 2.0},
+             "series": {"s.rate": 2.0, "s.ms": 3.0}},
+        )
+        assert main(["bench-diff", str(obs), "--record", "13"]) == 0
+        assert main(["bench-diff", str(obs), "--record", "14"]) == 0
+        assert main(["bench-diff", str(obs), "--record", "13"]) == 0
+        history = json.loads((tmp_path / BENCH_BASELINE).read_text())[
+            "history"
+        ]
+        assert [e["pr"] for e in history] == [14, 13]
+        for entry in history:
+            assert entry["series"] == {"s.ms": 3.0, "s.rate": 2.0}
+            assert entry["nproc"] >= 1 and entry["machine"]
+        # With no file argument the gate reads the tracked baseline.
+        assert main(["bench-diff"]) == 0
+
+    def test_record_without_series_is_fatal(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        obs = self._write(tmp_path, {"timestamp": "t0",
+                                     "benchmarks": {"b": 1.0}})
+        assert main(["bench-diff", str(obs), "--record", "13"]) == 2
+        assert "no series" in capsys.readouterr().err
+
     def test_repo_gate_runs_on_checked_in_history(self, capsys):
         from pathlib import Path
 
+        from repro.cli import BENCH_BASELINE
+
         root = Path(__file__).resolve().parents[1]
-        code = main(["bench-diff", str(root / "BENCH_obs.json"),
+        code = main(["bench-diff", str(root / BENCH_BASELINE),
                      "--config", str(root / "benchdiff.toml")])
         assert code in (0, 1)  # gate must run; verdict tracks history
 
