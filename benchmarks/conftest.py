@@ -17,9 +17,6 @@ into ``BENCH_obs.json`` at the repo root:
 * ``history`` -- one timestamped entry per session holding only what that
   session measured, so trajectories survive across runs (capped at the
   most recent :data:`_HISTORY_LIMIT` sessions).
-
-The pre-existing flat ``{benchmark: seconds}`` layout is migrated in place
-on the first write.
 """
 
 import json
@@ -43,12 +40,6 @@ _SERIES: dict[str, float] = {}
 _BENCH_OBS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 _HISTORY_LIMIT = 100
-
-#: Series keys no benchmark records anymore.  Purged from the file (both
-#: the latest-value map and every history entry) on the next write, so a
-#: renamed or retired series cannot linger as a stale bench-diff baseline.
-_DEAD_SERIES = {"exec.supervision_overhead"}
-
 
 def record_series(name: str, value: float) -> None:
     """Record a derived benchmark scalar (e.g. ``parallel.speedup_jobs2``).
@@ -74,25 +65,16 @@ def _bench_span(request):
 
 
 def _load_bench_obs(path: Path) -> dict:
-    """Current BENCH_obs.json contents, migrating the legacy flat layout."""
+    """Current BENCH_obs.json contents (empty layout if absent/unreadable)."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return {"benchmarks": {}, "series": {}, "history": []}
     if not isinstance(data, dict):
         return {"benchmarks": {}, "series": {}, "history": []}
-    if "benchmarks" not in data:
-        # Legacy layout: the whole object was the benchmark->seconds map.
-        return {"benchmarks": data, "series": {}, "history": []}
+    data.setdefault("benchmarks", {})
     data.setdefault("series", {})
     data.setdefault("history", [])
-    for dead in _DEAD_SERIES:
-        data["series"].pop(dead, None)
-        for entry in data["history"]:
-            if isinstance(entry, dict) and isinstance(
-                entry.get("series"), dict
-            ):
-                entry["series"].pop(dead, None)
     return data
 
 

@@ -1,19 +1,9 @@
-"""Supervised-execution benchmarks: overhead and chaos completion.
+"""Supervised-execution benchmark: chaos completion.
 
-Two trajectories tracked in BENCH_obs.json:
-
-* ``exec.supervision_wall_ratio`` -- supervised wall time over bare
-  ``ProcessPoolExecutor`` wall time on a clean 100-component generated
-  catalog (identical results required).  1.0 means free supervision;
-  the acceptance bar is <= 1.05 (5% overhead).  The ratio replaces the
-  old ``exec.supervision_overhead`` series, whose signed-difference
-  definition read as nonsense when supervision happened to win the
-  scheduler lottery (e.g. the recorded -0.172 "overhead"); the ratio is
-  >= 0 by construction, directionally unambiguous (lower is better),
-  and history entries stay comparable run to run.
-* ``exec.chaos_completion_rate`` -- fraction of a fault-injected catalog
-  that still completes with exact results (the rest must be structured
-  quarantines, not crashes).
+``exec.chaos_completion_rate`` (tracked in BENCH_obs.json) is the fraction
+of a fault-injected catalog that still completes with exact results (the
+rest must be structured quarantines, not crashes).  Supervision overhead
+is gated by ``parallel.speedup_jobs4`` and its hard 1.0 floor.
 """
 
 import time
@@ -24,51 +14,11 @@ from repro.gen import corpus_specs, generate_corpus
 
 JOBS = 4
 
-#: Wall-ratio bar: supervised may cost at most 5% over the bare pool.
-MAX_WALL_RATIO = 1.05
-
 
 def _catalog():
     modules = list(generate_corpus("verilog", 50, seed=3))
     modules += list(generate_corpus("vhdl", 50, seed=3))
     return modules, corpus_specs(modules)
-
-
-def _timed(fn, repeats=3):
-    """Best-of-N wall time (scheduler noise hits the pessimistic runs)."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def test_supervision_overhead_on_clean_catalog(bench_series, report):
-    _, specs = _catalog()
-
-    t_bare, bare = _timed(
-        lambda: measure_components(specs, jobs=JOBS, supervision=False)
-    )
-    t_sup, supervised = _timed(
-        lambda: measure_components(specs, jobs=JOBS)
-    )
-
-    # Same results, byte for byte, whichever pool ran the batch.
-    assert supervised.measurements.keys() == bare.measurements.keys()
-    assert not supervised.failures and not bare.failures
-    for name, m in bare.measurements.items():
-        assert supervised.measurements[name].metrics == m.metrics, name
-
-    ratio = t_sup / t_bare if t_bare > 0 else 1.0
-    assert ratio <= MAX_WALL_RATIO, (t_bare, t_sup)
-
-    bench_series("exec.supervision_wall_ratio", ratio)
-    report(
-        "supervision wall ratio (clean 100-component catalog)",
-        f"bare pool {t_bare:.2f}s, supervised {t_sup:.2f}s "
-        f"-> ratio {ratio:.3f} (bar {MAX_WALL_RATIO:.2f})",
-    )
 
 
 def test_chaos_completion_rate(bench_series, report):

@@ -18,18 +18,23 @@ upgrading any pipeline stage silently starts a fresh key space instead of
 serving stale products.  Editing a source file or changing a parameter
 binding changes the key the same way.
 
-Degradation rules (see DESIGN.md, "Parallelism & caching"):
+The same store also holds two whole-result memos one level up: finished
+pristine measurements (``measure/``) and clean per-module lint results
+(``lint/``).  All three namespaces share one read path, one atomic write
+path and one degradation policy (see DESIGN.md, "Parallelism & caching"):
 
-* a **corrupt** entry (truncated file, bad pickle, wrong type) is deleted,
-  counted in ``cache.errors``, and reported as a *corrupt* lookup -- the
-  caller recomputes and, on the fault-tolerant path, emits a WARNING
+* a **corrupt** entry (truncated file, bad pickle, wrong type, a result
+  the namespace would not store) is deleted, counted in ``cache.errors``
+  plus the namespace's miss counter, and the caller recomputes -- on the
+  fault-tolerant path a corrupt synthesis entry also becomes a WARNING
   diagnostic; the run never crashes on cache state;
 * a **store** failure (read-only directory, disk full) is swallowed after
   counting ``cache.errors`` -- caching is an optimization, not a stage.
 
-Counters (``cache.hits``/``cache.misses``/``cache.stores``/
-``cache.errors``) land in the default metrics registry, so hit rates ride
-along in every ``--trace`` file and ``RunReport``.
+Counters (``<prefix>hits``/``misses``/``stores`` per namespace, with the
+prefixes ``cache.``, ``cache.measure_`` and ``cache.lint_``, plus the
+shared ``cache.errors``) land in the default metrics registry, so hit
+rates ride along in every ``--trace`` file and ``RunReport``.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.elab.elaborator import ELAB_VERSION
 from repro.flow.dfg import FLOW_VERSION
 from repro.hdl.verilog.parser import PARSER_VERSION as VERILOG_PARSER_VERSION
 from repro.hdl.vhdl.parser import PARSER_VERSION as VHDL_PARSER_VERSION
 from repro.obs import metrics as obs_metrics
+from repro.runtime.diagnostics import Result
 from repro.synth.lower import SYNTH_VERSION
 from repro.synth.report import SynthesisReport
 
@@ -77,7 +83,7 @@ class CacheLookup:
     """Outcome of one cache probe."""
 
     status: str  # "hit" | "miss" | "corrupt"
-    value: SynthesisReport | None = None
+    value: Any = None
     detail: str = ""
 
     @property
@@ -92,6 +98,47 @@ class CacheLookup:
 _MISS = CacheLookup("miss")
 
 
+def _is_report(value: Any) -> bool:
+    return isinstance(value, SynthesisReport)
+
+
+def _is_pristine_measurement(value: Any) -> bool:
+    # Degraded or failed results are never memoized: their diagnostics
+    # must be re-derived (and re-reported) by a real run.
+    return (
+        isinstance(value, Result)
+        and value.value is not None
+        and not value.diagnostics
+    )
+
+
+def _is_clean_lint(value: Any) -> bool:
+    from repro.lint.engine import ModuleLintResult
+
+    return isinstance(value, ModuleLintResult) and not value.errors
+
+
+@dataclass(frozen=True)
+class _Namespace:
+    """One kind of entry: where it lives, what it may hold, how it counts."""
+
+    subdir: str  # under the cache directory; "" = the root
+    accepts: Callable[[Any], bool]  # checked on store and on every load
+    counter: str  # prefix of the hits/misses/stores counters
+    holds: str  # what ``accepts`` admits, for corrupt-entry details
+
+
+_SYNTH = _Namespace("", _is_report, "cache.", "SynthesisReport")
+_MEASURE = _Namespace(
+    "measure", _is_pristine_measurement, "cache.measure_",
+    "a pristine measurement Result",
+)
+_LINT = _Namespace(
+    "lint", _is_clean_lint, "cache.lint_", "a clean ModuleLintResult"
+)
+_NAMESPACES = (_SYNTH, _MEASURE, _LINT)
+
+
 @dataclass(frozen=True)
 class SynthesisCache:
     """A content-addressed synthesis-report cache rooted at ``directory``.
@@ -101,6 +148,12 @@ class SynthesisCache:
     share one on-disk key space; stores are atomic (write-to-temp + rename)
     which makes concurrent writers safe -- last writer wins with identical
     content.
+
+    Entries are ``<namespace>/<key[:2]>/<key>.pkl``: synthesis reports at
+    the root, whole-component measurements under ``measure/``, per-module
+    lint results under ``lint/``.  Each namespace is invisible to the
+    others' listings, so synthesis-entry tooling (poisoning tests,
+    eviction sweeps) never touches the memos.
     """
 
     directory: Path
@@ -113,7 +166,7 @@ class SynthesisCache:
     def default(cls) -> "SynthesisCache":
         return cls(default_cache_dir())
 
-    # -- keys ----------------------------------------------------------------
+    # -- synthesis reports ---------------------------------------------------
 
     def key(
         self,
@@ -138,77 +191,23 @@ class SynthesisCache:
         return h.hexdigest()
 
     def entry_path(self, key: str) -> Path:
-        # Two-level fan-out keeps directories small at catalog scale.
-        return self.directory / key[:2] / f"{key}.pkl"
-
-    # -- load / store --------------------------------------------------------
+        return self._path(_SYNTH, key)
 
     def load(self, key: str) -> CacheLookup:
         """Probe the cache; corruption degrades to a recompute, never raises."""
-        path = self.entry_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            obs_metrics.counter("cache.misses").inc()
-            return _MISS
-        except OSError as exc:
-            obs_metrics.counter("cache.errors").inc()
-            return CacheLookup("corrupt", detail=f"unreadable entry: {exc}")
-        try:
-            value = pickle.loads(blob)
-            if not isinstance(value, SynthesisReport):
-                raise TypeError(
-                    f"entry holds {type(value).__name__}, not SynthesisReport"
-                )
-        except Exception as exc:  # noqa: BLE001 -- any bad entry degrades
-            obs_metrics.counter("cache.errors").inc()
-            self._evict(path)
-            return CacheLookup(
-                "corrupt", detail=f"{path.name}: {type(exc).__name__}: {exc}"
-            )
-        obs_metrics.counter("cache.hits").inc()
-        return CacheLookup("hit", value=value)
+        return self._read(_SYNTH, key)
 
     def store(self, key: str, report: SynthesisReport) -> bool:
         """Atomically write one entry; failures are counted, not raised."""
-        path = self.entry_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(report, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:  # noqa: BLE001 -- caching is best-effort
-            obs_metrics.counter("cache.errors").inc()
-            return False
-        obs_metrics.counter("cache.stores").inc()
-        return True
-
-    @staticmethod
-    def _evict(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        return self._write(_SYNTH, key, report)
 
     # -- whole-measurement memo ----------------------------------------------
     #
     # One level up from specialization synthesis: the memo keyed on a whole
     # component (sources + top + policy + flags) stores its finished,
-    # *pristine* measurement Result.  This is what lets the parallel path's
-    # cache-aware dispatch resolve warm components in the parent without
-    # touching the worker pool at all.  Entries live under ``measure/``
-    # (depth 3), deliberately invisible to :meth:`entries` so synthesis-
-    # entry tooling (poisoning tests, eviction sweeps) is unaffected.
+    # *pristine* measurement Result.  This is what lets cache-aware
+    # dispatch resolve warm components in the parent without touching the
+    # worker pool at all.
 
     def measurement_key(self, spec, strict: bool = False,
                         lint: bool = False) -> str:
@@ -222,71 +221,13 @@ class SynthesisCache:
 
         return measure_task_key(spec, strict, lint)
 
-    def measurement_path(self, key: str) -> Path:
-        return self.directory / "measure" / key[:2] / f"{key}.pkl"
-
     def load_measurement(self, key: str):
-        """Probe the measurement memo; any bad entry degrades to a miss.
-
-        Returns the stored pristine ``Result`` on a hit, else ``None``
-        (counted in ``cache.measure_hits``/``cache.measure_misses``;
-        corrupt entries are evicted and counted in ``cache.errors``).
-        """
-        from repro.runtime.diagnostics import Result
-
-        path = self.measurement_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            obs_metrics.counter("cache.measure_misses").inc()
-            return None
-        except OSError:
-            obs_metrics.counter("cache.errors").inc()
-            obs_metrics.counter("cache.measure_misses").inc()
-            return None
-        try:
-            value = pickle.loads(blob)
-            if not isinstance(value, Result) or value.value is None \
-                    or value.diagnostics:
-                raise TypeError("entry is not a pristine measurement Result")
-        except Exception:  # noqa: BLE001 -- any bad entry degrades
-            obs_metrics.counter("cache.errors").inc()
-            obs_metrics.counter("cache.measure_misses").inc()
-            self._evict(path)
-            return None
-        obs_metrics.counter("cache.measure_hits").inc()
-        return value
+        """The stored pristine ``Result`` on a hit, else ``None``."""
+        return self._read(_MEASURE, key).value
 
     def store_measurement(self, key: str, result) -> bool:
-        """Memoize one *pristine* measurement (value, no diagnostics).
-
-        Degraded or failed results are never stored: their diagnostics
-        must be re-derived (and re-reported) by a real run.
-        """
-        if getattr(result, "value", None) is None \
-                or getattr(result, "diagnostics", ()):
-            return False
-        path = self.measurement_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:  # noqa: BLE001 -- caching is best-effort
-            obs_metrics.counter("cache.errors").inc()
-            return False
-        obs_metrics.counter("cache.measure_stores").inc()
-        return True
+        """Memoize one *pristine* measurement (value, no diagnostics)."""
+        return self._write(_MEASURE, key, result)
 
     # -- per-module lint memo ------------------------------------------------
     #
@@ -294,8 +235,7 @@ class SynthesisCache:
     # wall time; the audit of one module is a pure function of the source
     # texts, the module name, and the enabled-rule set (severity overrides
     # and baseline suppression are applied *after* the per-module compute
-    # in ``_assemble``, so they stay out of the key).  Entries live under
-    # ``lint/``, invisible to :meth:`entries` like the measurement memo.
+    # in ``_assemble``, so they stay out of the key).
 
     def lint_key(
         self, source_texts: Iterable[str], module: str,
@@ -334,45 +274,62 @@ class SynthesisCache:
             keys.append(h.hexdigest())
         return keys
 
-    def lint_path(self, key: str) -> Path:
-        return self.directory / "lint" / key[:2] / f"{key}.pkl"
-
     def load_lint(self, key: str):
-        """Probe the lint memo; returns a clean ``ModuleLintResult`` or None.
-
-        Error-carrying results are never served (mirroring the measurement
-        memo's pristine-only contract): their diagnostics must be
-        re-derived by a real run.
-        """
-        from repro.lint.engine import ModuleLintResult
-
-        path = self.lint_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            obs_metrics.counter("cache.lint_misses").inc()
-            return None
-        except OSError:
-            obs_metrics.counter("cache.errors").inc()
-            obs_metrics.counter("cache.lint_misses").inc()
-            return None
-        try:
-            value = pickle.loads(blob)
-            if not isinstance(value, ModuleLintResult) or value.errors:
-                raise TypeError("entry is not a clean ModuleLintResult")
-        except Exception:  # noqa: BLE001 -- any bad entry degrades
-            obs_metrics.counter("cache.errors").inc()
-            obs_metrics.counter("cache.lint_misses").inc()
-            self._evict(path)
-            return None
-        obs_metrics.counter("cache.lint_hits").inc()
-        return value
+        """The stored clean ``ModuleLintResult`` on a hit, else ``None``."""
+        return self._read(_LINT, key).value
 
     def store_lint(self, key: str, result) -> bool:
         """Memoize one error-free module lint result."""
-        if getattr(result, "errors", ()):
+        return self._write(_LINT, key, result)
+
+    # -- the one read path and the one write path ----------------------------
+
+    def _path(self, ns: _Namespace, key: str) -> Path:
+        # Two-level fan-out keeps directories small at catalog scale.
+        return self.directory / ns.subdir / key[:2] / f"{key}.pkl"
+
+    def _read(self, ns: _Namespace, key: str) -> CacheLookup:
+        """Read, unpickle and validate one entry; never raises.
+
+        An entry that cannot be served is a miss *and* an error; one that
+        was readable but invalid is also evicted so the recompute can
+        re-store it.
+        """
+        path = self._path(ns, key)
+        try:
+            blob = path.read_bytes()
+        except FileNotFoundError:
+            obs_metrics.counter(ns.counter + "misses").inc()
+            return _MISS
+        except OSError as exc:
+            obs_metrics.counter("cache.errors").inc()
+            obs_metrics.counter(ns.counter + "misses").inc()
+            return CacheLookup("corrupt", detail=f"unreadable entry: {exc}")
+        try:
+            value = pickle.loads(blob)
+            if not ns.accepts(value):
+                raise TypeError(
+                    f"entry holds {type(value).__name__}, not {ns.holds}"
+                )
+        except Exception as exc:  # noqa: BLE001 -- any bad entry degrades
+            obs_metrics.counter("cache.errors").inc()
+            obs_metrics.counter(ns.counter + "misses").inc()
+            self._evict(path)
+            return CacheLookup(
+                "corrupt", detail=f"{path.name}: {type(exc).__name__}: {exc}"
+            )
+        obs_metrics.counter(ns.counter + "hits").inc()
+        return CacheLookup("hit", value=value)
+
+    def _write(self, ns: _Namespace, key: str, value: Any) -> bool:
+        """Atomically write one entry the namespace accepts.
+
+        A value the loader would refuse to serve is not written (returns
+        False, counts nothing); I/O failures are counted, not raised.
+        """
+        if not ns.accepts(value):
             return False
-        path = self.lint_path(key)
+        path = self._path(ns, key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -380,7 +337,7 @@ class SynthesisCache:
             )
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -391,62 +348,60 @@ class SynthesisCache:
         except Exception:  # noqa: BLE001 -- caching is best-effort
             obs_metrics.counter("cache.errors").inc()
             return False
-        obs_metrics.counter("cache.lint_stores").inc()
+        obs_metrics.counter(ns.counter + "stores").inc()
         return True
+
+    @staticmethod
+    def _evict(path: Path) -> None:
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     # -- maintenance ---------------------------------------------------------
 
+    def _entries(self, ns: _Namespace) -> list[Path]:
+        root = self.directory / ns.subdir
+        if not root.is_dir():
+            return []
+        return sorted(root.glob("*/*.pkl"))
+
     def entries(self) -> list[Path]:
         """Every synthesis entry file currently on disk, sorted."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob("*/*.pkl"))
+        return self._entries(_SYNTH)
 
     def measurement_entries(self) -> list[Path]:
         """Every whole-measurement memo entry on disk, sorted."""
-        root = self.directory / "measure"
-        if not root.is_dir():
-            return []
-        return sorted(root.glob("*/*.pkl"))
+        return self._entries(_MEASURE)
 
     def lint_entries(self) -> list[Path]:
         """Every per-module lint memo entry on disk, sorted."""
-        root = self.directory / "lint"
-        if not root.is_dir():
-            return []
-        return sorted(root.glob("*/*.pkl"))
+        return self._entries(_LINT)
 
     def clear(self) -> int:
         """Delete all entries (every kind); returns how many were removed."""
         removed = 0
-        for path in (
-            self.entries() + self.measurement_entries() + self.lint_entries()
-        ):
-            self._evict(path)
-            removed += 1
+        for ns in _NAMESPACES:
+            for path in self._entries(ns):
+                self._evict(path)
+                removed += 1
         return removed
 
 
 def hit_rate(counters: Mapping[str, float] | None = None) -> float | None:
     """Cache hit rate from a counters snapshot (default registry if None).
 
-    Folds the whole-measurement memo probes in with the synthesis-entry
-    probes: a memo hit short-circuits the synthesis probes it replaces,
-    so counting only the latter would under-report warm runs.  Returns
-    None when the run never probed the cache.
+    Folds the memo probes in with the synthesis-entry probes: a memo hit
+    short-circuits the synthesis probes it replaces, so counting only the
+    latter would under-report warm runs.  Returns None when the run never
+    probed the cache.
     """
     if counters is None:
         counters = obs_metrics.snapshot()["counters"]
-    hits = (
-        float(counters.get("cache.hits", 0.0))
-        + float(counters.get("cache.measure_hits", 0.0))
-        + float(counters.get("cache.lint_hits", 0.0))
-    )
-    misses = (
-        float(counters.get("cache.misses", 0.0))
-        + float(counters.get("cache.measure_misses", 0.0))
-        + float(counters.get("cache.lint_misses", 0.0))
-    )
+    hits = sum(float(counters.get(ns.counter + "hits", 0.0))
+               for ns in _NAMESPACES)
+    misses = sum(float(counters.get(ns.counter + "misses", 0.0))
+                 for ns in _NAMESPACES)
     total = hits + misses
     if total == 0:
         return None

@@ -91,7 +91,7 @@ class Engine:
             before any work is dispatched.
         jobs: worker-pool width (1 = inline sequential execution).
         supervision: pool supervision policy (:mod:`repro.exec`);
-            ``None`` uses the defaults, ``False`` the legacy bare pool.
+            ``None`` uses the defaults.
         journal: crash-safe run journal (path or
             :class:`~repro.exec.RunJournal`) for pool-run resume.
     """
@@ -101,7 +101,7 @@ class Engine:
         *,
         cache: "SynthesisCache | None" = None,
         jobs: int = 1,
-        supervision: "SupervisionPolicy | bool | None" = None,
+        supervision: "SupervisionPolicy | None" = None,
         journal: "RunJournal | str | None" = None,
     ) -> None:
         self.cache = cache
@@ -500,12 +500,9 @@ class Engine:
         """Audit HDL sources against the accounting/hygiene rules."""
         from repro.lint import lint_sources
 
-        supervision = self.supervision
-        if isinstance(supervision, bool):
-            supervision = None
         return lint_sources(
-            list(sources), config, jobs=self.jobs, supervision=supervision,
-            cache=self.cache,
+            list(sources), config, jobs=self.jobs,
+            supervision=self.supervision, cache=self.cache,
         )
 
     # -- estimator fits --------------------------------------------------------
@@ -553,5 +550,4 @@ class Engine:
             "jobs": self.jobs,
             "cache": None if self.cache is None else str(self.cache.directory),
             "cached_fits": len(self._estimators),
-            "supervised": not (self.supervision is False),
         }

@@ -118,7 +118,7 @@ def measure_component(
     design: ast.Design | None = None,
     cache: "SynthesisCache | None" = None,
     jobs: int = 1,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     journal: "RunJournal | str | None" = None,
 ) -> ComponentMeasurement:
     """Measure every Table 3 metric for one component.
@@ -137,7 +137,7 @@ def measure_component(
             hits skip the elaborate+synthesize work for a specialization.
         jobs: process-pool width for the specialization loop (1 = inline).
         supervision: pool supervision policy (:mod:`repro.exec`); ``None``
-            uses the defaults, ``False`` the legacy bare pool.
+            uses the defaults.
         journal: crash-safe run journal (path or
             :class:`~repro.exec.RunJournal`) for ``jobs > 1`` resume.
     """
@@ -277,7 +277,7 @@ def measure_component_safe(
     cache: "SynthesisCache | None" = None,
     jobs: int = 1,
     lint: bool = False,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     journal: "RunJournal | str | None" = None,
 ) -> Result[ComponentMeasurement]:
     """Measure one component with per-stage fault isolation.
@@ -367,7 +367,7 @@ def measure_components(
     jobs: int = 1,
     cache: "SynthesisCache | None" = None,
     lint: bool = False,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     journal: "RunJournal | str | None" = None,
 ) -> BatchMeasurement:
     """Measure a batch of components, isolating faults per component.
@@ -383,8 +383,8 @@ def measure_components(
     runs the ACC accounting audit on each component's parsed catalog
     before measuring (WARNING diagnostics; never changes the exit code).
     ``supervision`` configures the supervised pool (:mod:`repro.exec`:
-    deadlines, retries, quarantine; ``False`` = legacy bare pool) and
-    ``journal`` makes the parallel run crash-safe resumable.
+    deadlines, retries, quarantine) and ``journal`` makes the parallel
+    run crash-safe resumable.
 
     Thin wrapper over
     :meth:`repro.core.engine.Engine.measure_components`.

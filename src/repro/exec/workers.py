@@ -92,9 +92,10 @@ def require_worker_context() -> WorkerContext:
 def _install_context(context: WorkerContext | None) -> None:
     """Install ``context`` process-wide and import its preload modules.
 
-    Also usable directly as a ``ProcessPoolExecutor`` initializer.
-    Preload failures are swallowed: the import would fail again (with a
-    real traceback) the moment a task needs the module.
+    Runs once at :func:`worker_main` startup and around the parent's
+    inline execution (:func:`using_context`).  Preload failures are
+    swallowed: the import would fail again (with a real traceback) the
+    moment a task needs the module.
     """
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context

@@ -21,7 +21,7 @@ something -- parse failure, duplicate definitions, elaboration failure).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.flow.dfg import DataflowGraph, build_dfg
 from repro.hdl import ast, parse_source
@@ -39,6 +39,9 @@ from repro.lint.rules import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
+
+if TYPE_CHECKING:
+    from repro.exec import SupervisionPolicy
 
 
 @dataclass(frozen=True)
@@ -241,16 +244,16 @@ def lint_design(
     jobs: int = 1,
     files: int = 0,
     extra_errors: Sequence[Diagnostic] = (),
-    supervision: object = None,
+    supervision: SupervisionPolicy | None = None,
     cache: object = None,
     source_texts: Sequence[str] | None = None,
 ) -> LintReport:
     """Audit an already-parsed design (all modules + catalog rules).
 
     ``supervision`` configures the ``jobs > 1`` worker pool (a
-    :class:`repro.exec.SupervisionPolicy`, or ``False`` for the legacy
-    bare pool); a module whose task is quarantined by the supervisor
-    surfaces as a lint *error* rather than crashing the audit.
+    :class:`repro.exec.SupervisionPolicy`; ``None`` uses the defaults); a
+    module whose task is quarantined by the supervisor surfaces as a lint
+    *error* rather than crashing the audit.
 
     ``cache`` (a :class:`repro.cache.SynthesisCache`) with ``source_texts``
     enables the per-module lint memo: modules whose key hits are resolved
@@ -297,7 +300,7 @@ def lint_sources(
     sources: Sequence[SourceFile],
     config: LintConfig | None = None,
     jobs: int = 1,
-    supervision: object = None,
+    supervision: SupervisionPolicy | None = None,
     cache: object = None,
 ) -> LintReport:
     """Parse + merge ``sources``, then audit the resulting catalog.

@@ -137,16 +137,6 @@ class LintRule:
 
 
 # ---------------------------------------------------------------------------
-# Shared AST utilities (now in repro.hdl.walk; aliases keep old call sites)
-# ---------------------------------------------------------------------------
-
-_idents = expr_reads
-_target_base = target_base
-_target_index_reads = target_index_reads
-_walk_assigns = walk_assigns
-
-
-# ---------------------------------------------------------------------------
 # ACC001 -- duplicate components (catalog scope)
 # ---------------------------------------------------------------------------
 
@@ -362,16 +352,16 @@ def _usage(ctx: ModuleContext) -> tuple[set[str], set[str]]:
     writes: set[str] = set()
 
     def read_expr(expr: ast.Expr) -> None:
-        reads.update(_idents(expr))
+        reads.update(expr_reads(expr))
 
     def write_target(target: ast.Expr) -> None:
-        base = _target_base(target)
+        base = target_base(target)
         if base is not None:
             writes.add(base)
         else:  # concatenation targets write every named part
-            for name in _idents(target):
+            for name in expr_reads(target):
                 writes.add(name)
-        reads.update(_target_index_reads(target))
+        reads.update(target_index_reads(target))
 
     for assign in spec.assigns:
         write_target(assign.target)
@@ -379,7 +369,7 @@ def _usage(ctx: ModuleContext) -> tuple[set[str], set[str]]:
     for process in spec.processes:
         if process.clock:
             reads.add(process.clock)
-        for stmt, conds in _walk_assigns(process.body):
+        for stmt, conds in walk_assigns(process.body):
             reads.update(conds)
             write_target(stmt.target)
             read_expr(stmt.value)
@@ -398,7 +388,7 @@ def _usage(ctx: ModuleContext) -> tuple[set[str], set[str]]:
             if direction == "input":
                 read_expr(expr)
             else:  # output/inout: the child drives the connected nets
-                for name in _idents(expr):
+                for name in expr_reads(expr):
                     writes.add(name)
     return reads, writes
 
@@ -442,7 +432,7 @@ def _assigned_paths(
     may: set[str] = set()
     for stmt in stmts:
         if isinstance(stmt, ast.Assign):
-            base = _target_base(stmt.target)
+            base = target_base(stmt.target)
             if base is not None:
                 must.add(base)
                 may.add(base)
@@ -623,7 +613,7 @@ def check_width_mismatch(ctx: ModuleContext) -> list[LintFinding]:
         vw = _expr_width(value, spec)
         if tw is None or vw is None or tw == vw:
             return
-        base = _target_base(target) or "<target>"
+        base = target_base(target) or "<target>"
         findings.append(
             LintFinding(
                 rule="W004",
@@ -641,7 +631,7 @@ def check_width_mismatch(ctx: ModuleContext) -> list[LintFinding]:
     for assign in spec.assigns:
         check(assign.target, assign.value, assign.line)
     for process in spec.processes:
-        for stmt, _ in _walk_assigns(process.body):
+        for stmt, _ in walk_assigns(process.body):
             check(stmt.target, stmt.value, stmt.line)
     return findings
 

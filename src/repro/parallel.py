@@ -11,13 +11,10 @@ preserving the sequential contracts bit for bit:
   ``Result``/diagnostics -- never as a pool-crashing exception.  Strict
   mode re-raises in the parent (``HdlError`` pickles faithfully, so the
   re-raised exception carries the same file/line/hint).
-* **Supervision.**  Execution runs under :class:`repro.exec.Supervisor`
-  by default: per-task deadlines with hung-worker kill + respawn, bounded
-  retry with exponential backoff, poison-task quarantine, optional
-  per-worker memory ceilings, and (with a :class:`repro.exec.RunJournal`)
-  crash-safe resume.  ``supervision=False`` selects the legacy bare
-  :class:`~concurrent.futures.ProcessPoolExecutor` path, kept for
-  overhead benchmarking.
+* **Supervision.**  Every pool is a :class:`repro.exec.Supervisor`:
+  per-task deadlines with hung-worker kill + respawn, bounded retry with
+  exponential backoff, poison-task quarantine, optional per-worker memory
+  ceilings, and (with a :class:`repro.exec.RunJournal`) crash-safe resume.
 * **Telemetry.**  The obs registry and tracer are process-local, so a
   naive pool would silently drop every counter a worker bumps and reuse
   span ids across workers.  Each worker task therefore runs under a fresh
@@ -26,11 +23,9 @@ preserving the sequential contracts bit for bit:
   merges the worker's metrics dump into its registry and grafts the worker
   span tree under namespaced ids (``"w3:7"``) -- see
   :meth:`Tracer.graft <repro.obs.trace.Tracer.graft>`.
-* **Degradation.**  If workers cannot run at all (fork failures, broken
-  pools), execution falls back to in-process computation and counts
-  ``parallel.fallback_sequential`` -- slower, never wrong.  The bare-pool
-  path reuses every result that completed before the pool broke and
-  records which task broke it in the fallback diagnostic.
+* **Degradation.**  If workers cannot run at all (fork failures), the
+  supervisor falls back to in-process computation and counts
+  ``parallel.fallback_sequential`` -- slower, never wrong.
 
 Nothing here is imported eagerly by the pipeline; ``jobs=1`` (the default
 everywhere) never touches this module.
@@ -39,8 +34,7 @@ everywhere) never touches this module.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.exec import (
     BlobStore,
@@ -53,18 +47,10 @@ from repro.exec import (
     content_key,
     require_worker_context,
     run_traced_task,
-    using_context,
 )
-from repro.exec.workers import _install_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.diagnostics import (
-    Diagnostic,
-    Result,
-    Severity,
-    render_report,
-)
-from repro.runtime.stages import STAGE_HINTS
+from repro.runtime.diagnostics import Diagnostic, Result, render_report
 
 __all__ = [
     "TaskOutcome",
@@ -76,9 +62,6 @@ __all__ = [
     "remap_span_ids",
     "synthesize_specializations",
 ]
-
-#: Back-compat alias: the traced-task runner moved to :mod:`repro.exec.task`.
-_run_traced_task = run_traced_task
 
 #: Per-process namespace sequence: every pool run gets a fresh prefix so
 #: grafted span ids stay unique across successive parallel sections.
@@ -253,118 +236,6 @@ def remap_span_ids(
     )
 
 
-# -- execution strategies ----------------------------------------------------
-
-
-def _pool_run(
-    task,
-    payloads: Sequence[tuple],
-    jobs: int,
-    labels: Sequence[str] | None = None,
-    context: WorkerContext | None = None,
-) -> tuple[list[TaskOutcome], Diagnostic | None]:
-    """The legacy bare pool: one :class:`ProcessPoolExecutor`, no deadlines.
-
-    The worker context is delivered through the pool initializer (the
-    same once-per-worker contract as the supervised path), and installed
-    around the in-process recompute of broken-pool leftovers.
-
-    A broken pool (a worker died; every outstanding future is poisoned) no
-    longer throws completed work away: results that finished before the
-    break are reused, only the rest are recomputed in-process, and the
-    returned diagnostic records which task broke the pool.  The caller
-    attaches it to that task's result stream.
-    """
-    obs_metrics.gauge("parallel.jobs").set(jobs)
-    outcomes: list[TaskOutcome | None] = [None] * len(payloads)
-    broken: tuple[int, BaseException] | None = None
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_install_context,
-            initargs=(context,),
-        ) as pool:
-            futures = [pool.submit(task, p) for p in payloads]
-            for i, future in enumerate(futures):
-                try:
-                    outcomes[i] = future.result()
-                except (BrokenExecutor, OSError) as exc:
-                    broken = (i, exc)
-                    break
-            if broken is not None:
-                # Later futures may have finished before the pool broke;
-                # harvest them instead of recomputing.
-                for i, future in enumerate(futures):
-                    if outcomes[i] is None and future.done():
-                        try:
-                            if future.exception() is None:
-                                outcomes[i] = future.result()
-                        except Exception:  # noqa: BLE001 -- cancelled/broken
-                            pass
-    except (BrokenExecutor, OSError) as exc:
-        if broken is None:
-            broken = (0, exc)
-    if broken is None:
-        obs_metrics.counter("parallel.tasks").inc(len(payloads))
-        return outcomes, None  # type: ignore[return-value]
-
-    index, exc = broken
-    reused = sum(1 for o in outcomes if o is not None)
-    missing = len(payloads) - reused
-    obs_metrics.counter("parallel.fallback_sequential").inc()
-    obs_metrics.counter("parallel.tasks").inc(reused)
-    label = labels[index] if labels is not None else f"task {index}"
-    diagnostic = Diagnostic(
-        severity=Severity.WARNING,
-        stage="exec",
-        message=(
-            f"worker pool broke at {label} "
-            f"({type(exc).__name__}: {exc}); {reused}/{len(payloads)} pooled "
-            f"result(s) reused, {missing} recomputed sequentially"
-        ),
-        component=label,
-        hint=STAGE_HINTS.get("exec"),
-    )
-    with using_context(context):
-        for i, payload in enumerate(payloads):
-            if outcomes[i] is None:
-                outcomes[i] = task(payload)
-    return outcomes, diagnostic  # type: ignore[return-value]
-
-
-def _execute(
-    task,
-    payloads: Sequence[tuple],
-    jobs: int,
-    supervision: "SupervisionPolicy | bool | None",
-    labels: Sequence[str] | None = None,
-    keys: Sequence[str] | None = None,
-    journal: "RunJournal | None" = None,
-    namespaces: Sequence[str] | None = None,
-    context: WorkerContext | None = None,
-) -> tuple[list[TaskOutcome], Diagnostic | None]:
-    """Run one homogeneous batch under the selected execution strategy.
-
-    ``supervision`` is the policy to supervise under (``None`` = default
-    policy); ``False`` selects the legacy bare pool (no deadlines, no
-    retries, no journal -- kept for overhead benchmarking).  ``namespaces``
-    (the tasks' worker-telemetry namespaces) let the supervisor stamp each
-    ``exec.task`` span with its task's ``ns``, joining the attempt
-    timeline to the grafted worker span trees.  ``context`` is the batch's
-    run-invariant :class:`WorkerContext`, installed once per worker by
-    either strategy.
-    """
-    if supervision is False:
-        return _pool_run(task, payloads, jobs, labels, context)
-    policy = supervision if isinstance(supervision, SupervisionPolicy) else None
-    supervisor = Supervisor(jobs, policy)
-    outcomes = supervisor.run(
-        task, payloads, keys=keys, labels=labels, journal=journal,
-        namespaces=namespaces, context=context,
-    )
-    return outcomes, None
-
-
 def _next_namespace(kind: str) -> str:
     return f"{kind}{next(_NAMESPACE_COUNTER)}"
 
@@ -427,7 +298,7 @@ def measure_components_parallel(
     jobs: int = 2,
     cache=None,
     lint: bool = False,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: SupervisionPolicy | None = None,
     journal: "RunJournal | str | None" = None,
 ):
     """Measure a batch of components across a supervised process pool.
@@ -485,8 +356,8 @@ def measure_components_parallel(
                     if journal is not None
                     else None
                 )
-                outcomes, fallback = _execute(
-                    _measure_task, payloads, jobs, supervision,
+                outcomes = Supervisor(jobs, supervision).run(
+                    _measure_task, payloads,
                     labels=labels, keys=keys, journal=journal,
                     namespaces=[
                         f"{run_ns}.w{i}" for i in range(len(pending))
@@ -495,9 +366,6 @@ def measure_components_parallel(
                 )
                 for spec, outcome in zip(pending, outcomes):
                     mapping = merge_worker_telemetry(outcome)
-                    extra: tuple[Diagnostic, ...] = ()
-                    if fallback is not None and fallback.component == spec.name:
-                        extra = (fallback,)
                     if outcome.error is not None:
                         errors.append(outcome.error)
                         continue
@@ -505,15 +373,13 @@ def measure_components_parallel(
                         # Supervisor quarantine: structured failure, no
                         # measurement.
                         results[spec.name] = Result(
-                            None,
-                            remap_span_ids(outcome.diagnostics, mapping)
-                            + extra,
+                            None, remap_span_ids(outcome.diagnostics, mapping)
                         )
                         continue
                     result = outcome.value
                     results[spec.name] = Result(
                         result.value,
-                        remap_span_ids(result.diagnostics, mapping) + extra,
+                        remap_span_ids(result.diagnostics, mapping),
                     )
                     if cache is not None:
                         # Memoize pristine measurements for the next run's
@@ -537,7 +403,7 @@ def lint_modules_parallel(
     names: Sequence[str],
     config,
     jobs: int,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: SupervisionPolicy | None = None,
 ) -> list:
     """Lint the named modules of one design across a supervised pool.
 
@@ -564,8 +430,8 @@ def lint_modules_parallel(
             preload=_LINT_PRELOAD,
         )
         payloads = [(i, name) for i, name in enumerate(names)]
-        outcomes, fallback = _execute(
-            _lint_task, payloads, jobs, supervision, labels=list(names),
+        outcomes = Supervisor(jobs, supervision).run(
+            _lint_task, payloads, labels=list(names),
             namespaces=[f"{run_ns}.w{i}" for i in range(len(names))],
             context=context,
         )
@@ -577,13 +443,10 @@ def lint_modules_parallel(
                 # escapes a worker is an engine bug worth surfacing.
                 raise outcome.error
             if outcome.value is None:
-                errors = remap_span_ids(outcome.diagnostics, mapping)
-                if fallback is not None and fallback.component == name:
-                    errors += (fallback,)
                 results.append(
                     ModuleLintResult(
-                        module=name, file="", hash="",
-                        findings=(), errors=errors,
+                        module=name, file="", hash="", findings=(),
+                        errors=remap_span_ids(outcome.diagnostics, mapping),
                     )
                 )
                 continue
@@ -598,7 +461,7 @@ def synthesize_specializations(
     jobs: int,
     safe: bool,
     strict: bool = False,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: SupervisionPolicy | None = None,
     journal: "RunJournal | str | None" = None,
     source_texts: Sequence[str] | None = None,
 ) -> list[TaskOutcome]:
@@ -639,22 +502,19 @@ def synthesize_specializations(
             (i, module, dict(params))
             for i, (module, params) in enumerate(work)
         ]
-        outcomes, fallback = _execute(
-            _synthesize_task, payloads, jobs, supervision,
+        outcomes = Supervisor(jobs, supervision).run(
+            _synthesize_task, payloads,
             labels=labels, keys=keys, journal=journal,
             namespaces=[f"{run_ns}.w{i}" for i in range(len(work))],
             context=context,
         )
-        for task_label, outcome in zip(labels, outcomes):
+        for outcome in outcomes:
             mapping = merge_worker_telemetry(outcome)
-            diagnostics = remap_span_ids(outcome.diagnostics, mapping)
-            if fallback is not None and fallback.component == task_label:
-                diagnostics += (fallback,)
             merged.append(
                 TaskOutcome(
                     value=outcome.value,
                     error=outcome.error,
-                    diagnostics=diagnostics,
+                    diagnostics=remap_span_ids(outcome.diagnostics, mapping),
                     telemetry=None,
                 )
             )

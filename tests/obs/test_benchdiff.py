@@ -43,7 +43,8 @@ class TestConfig:
         cfg = benchdiff.load_config(
             Path(__file__).resolve().parents[2] / "benchdiff.toml"
         )
-        assert cfg.direction("exec.supervision_wall_ratio") == "lower"
+        assert cfg.direction("flow.spectral_ms") == "lower"
+        assert cfg.rel_tol("flow.spectral_ms") == 1.0
         assert cfg.direction("exec.chaos_completion_rate") == "higher"
 
     def test_bad_toml_raises_value_error(self, tmp_path):
