@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hdl.source import HdlSyntaxError, SourceFile
 
@@ -19,19 +19,38 @@ _OPERATORS = (
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
     "(", ")", "[", "]", "{", "}", ";", ",", ":", ".", "#", "?", "@",
 )
+#: Operator text -> its entry in ``_OPERATORS``: every OP token (and every
+#: AST operator copied from one) shares one string object per operator.
+_OP_TEXT = {op: op for op in _OPERATORS}
 
-_ID_RE = re.compile(r"\$?[A-Za-z_][A-Za-z0-9_$]*")
-# `(*` opens an attribute only when not immediately closed: `@(*)` is a
-# sensitivity star, not an attribute.
-_ATTR_OPEN_RE = re.compile(r"\(\*(?!\s*\))")
-_DEC_RE = re.compile(r"[0-9][0-9_]*")
-_SIZED_RE = re.compile(r"(?:[0-9][0-9_]*)?'[sS]?([bBoOdDhH])([0-9a-fA-FxXzZ_]+)")
-_STRING_RE = re.compile(r'"[^"\n]*"')
-_WS_RE = re.compile(r"[ \t\r]+")
+#: One alternative per lexical rule, in priority order.  Alternation is
+#: ordered, so the first rule that matches at a position wins.  Unnamed
+#: alternatives (blanks, line comments, directives) are skipped.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<nl>\n[ \t\r]*)
+    | [ \t\r]+|//[^\n]*
+    | (?P<block>/\*.*?\*/)
+    | (?P<open_block>/\*)
+    # `(*` opens an attribute only when not immediately closed: `@(*)`
+    # is a sensitivity star, not an attribute.
+    | (?P<attr>\(\*(?!\s*\)).*?\*\))
+    | (?P<open_attr>\(\*(?!\s*\)))
+    | `[^\n]*
+    | (?P<SIZED_NUMBER>(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ_]+)
+    | (?P<ID>\$?[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<NUMBER>[0-9][0-9_]*)
+    | (?P<STRING>"[^"\n]*")
+    | (?P<OP>""" + "|".join(map(re.escape, _OPERATORS)) + r""")
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_UNTERMINATED = {"open_block": "unterminated block comment",
+                 "open_attr": "unterminated attribute"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -62,7 +81,10 @@ def _sized_value(text: str) -> int:
     # which is what synthesis tools commonly assume for don't-cares.
     digits = re.sub(r"[xXzZ]", "0", digits)
     base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_char]
-    return int(digits, base)
+    try:
+        return int(digits, base)
+    except ValueError:
+        raise ValueError(f"invalid base-{base} literal {text!r}") from None
 
 
 def tokenize(source: SourceFile) -> list[Token]:
@@ -72,71 +94,33 @@ def tokenize(source: SourceFile) -> list[Token]:
     attribute instances ``(* ... *)`` are skipped.
     """
     text = source.text
+    match = _TOKEN_RE.match
     tokens: list[Token] = []
+    append = tokens.append
     pos = 0
     line = 1
     n = len(text)
     while pos < n:
-        ch = text[pos]
-        if ch == "\n":
+        m = match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "ID":
+            append(Token(ID, m.group(), line))
+        elif kind == "OP":
+            append(Token(OP, _OP_TEXT[m.group()], line))
+        elif kind is None:
+            pass
+        elif kind == "nl":
             line += 1
-            pos += 1
-            continue
-        m = _WS_RE.match(text, pos)
-        if m:
-            pos = m.end()
-            continue
-        if text.startswith("//", pos):
-            end = text.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        if text.startswith("/*", pos):
-            end = text.find("*/", pos + 2)
-            if end == -1:
-                raise HdlSyntaxError("unterminated block comment", source.name, line)
-            line += text.count("\n", pos, end)
-            pos = end + 2
-            continue
-        if _ATTR_OPEN_RE.match(text, pos):
-            end = text.find("*)", pos + 2)
-            if end == -1:
-                raise HdlSyntaxError("unterminated attribute", source.name, line)
-            line += text.count("\n", pos, end)
-            pos = end + 2
-            continue
-        if ch == "`":
-            # Compiler directive: skip to end of line.
-            end = text.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        m = _SIZED_RE.match(text, pos)
-        if m:
-            tokens.append(Token(SIZED_NUMBER, m.group(0), line))
-            pos = m.end()
-            continue
-        m = _ID_RE.match(text, pos)
-        if m:
-            tokens.append(Token(ID, m.group(0), line))
-            pos = m.end()
-            continue
-        m = _DEC_RE.match(text, pos)
-        if m:
-            tokens.append(Token(NUMBER, m.group(0), line))
-            pos = m.end()
-            continue
-        m = _STRING_RE.match(text, pos)
-        if m:
-            tokens.append(Token(STRING, m.group(0), line))
-            pos = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, pos):
-                tokens.append(Token(OP, op, line))
-                pos += len(op)
-                break
+        elif kind == "NUMBER" or kind == "SIZED_NUMBER" or kind == "STRING":
+            append(Token(kind, m.group(), line))
+        elif kind == "block" or kind == "attr":
+            line += m.group().count("\n")
+        elif kind in _UNTERMINATED:
+            raise HdlSyntaxError(_UNTERMINATED[kind], source.name, line)
         else:
             raise HdlSyntaxError(
-                f"unexpected character {ch!r}", source.name, line
+                f"unexpected character {m.group()!r}", source.name, line
             )
     tokens.append(Token(EOF, "", line))
     return tokens

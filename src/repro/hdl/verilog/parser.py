@@ -22,6 +22,13 @@ _KEYWORDS = {
 
 _UNARY_OPS = ("~", "!", "-", "&", "|", "^")
 
+#: Binary operators, loosest-binding level first (all left-associative).
+_PRECEDENCE: tuple[tuple[str, ...], ...] = (
+    ("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+    ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
+)
+_BINARY_LEVELS = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
+
 #: Frontend revision.  Part of the on-disk cache salt (:mod:`repro.cache`):
 #: bump whenever parsing changes the AST produced for accepted sources.
 PARSER_VERSION = 1
@@ -38,7 +45,11 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # ``pos`` never passes the trailing EOF token; a lookahead may.
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -47,8 +58,8 @@ class _Parser:
         return tok
 
     def check(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind in (ID, OP) and tok.value == value
+        tok = self.tokens[self.pos]
+        return tok.value == value and tok.kind in (ID, OP)
 
     def accept(self, value: str) -> bool:
         if self.check(value):
@@ -559,29 +570,16 @@ class _Parser:
             return ast.Ternary(cond, then, other)
         return cond
 
-    _PRECEDENCE: tuple[tuple[str, ...], ...] = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        ops = self._PRECEDENCE[level]
-        lhs = self._parse_binary(level + 1)
-        while self.peek().kind == OP and self.peek().value in ops:
-            op = self.advance().value
-            rhs = self._parse_binary(level + 1)
-            lhs = ast.Binary(op, lhs, rhs)
-        return lhs
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over ``_BINARY_LEVELS``."""
+        lhs = self._parse_unary()
+        while True:
+            tok = self.peek()
+            level = _BINARY_LEVELS.get(tok.value, -1) if tok.kind == OP else -1
+            if level < min_level:
+                return lhs
+            self.advance()
+            lhs = ast.Binary(tok.value, lhs, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.peek()
@@ -594,7 +592,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == NUMBER or tok.kind == SIZED_NUMBER:
             self.advance()
-            return ast.Number(tok.int_value, tok.width)
+            try:
+                return ast.Number(tok.int_value, tok.width)
+            except ValueError as exc:  # a digit outside the literal's base
+                raise HdlSyntaxError(str(exc), self.source.name, tok.line) from None
         if tok.value == "(":
             self.advance()
             expr = self.parse_expr()

@@ -7,7 +7,7 @@ lexing (bit-string and character literals keep their spelling).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hdl.source import HdlSyntaxError, SourceFile
 
@@ -22,14 +22,30 @@ _OPERATORS = (
     "(", ")", ";", ",", ":", ".", "'", "|",
 )
 
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"[0-9][0-9_]*")
+#: Operator text -> its entry in ``_OPERATORS``: every OP token (and every
+#: AST operator copied from one) shares one string object per operator.
+_OP_TEXT = {op: op for op in _OPERATORS}
+
 _BITSTR_RE = re.compile(r'([xXbBoO]?)"([0-9a-fA-F_]*)"')
-_WS_RE = re.compile(r"[ \t\r]+")
-# A character literal like '0'; must not swallow attribute ticks (foo'range),
-# so require a non-identifier character before the opening quote -- handled
-# in the loop by checking the previous token.
-_CHAR_RE = re.compile(r"'(.)'")
+
+#: One alternative per lexical rule, in priority order.  Alternation is
+#: ordered, so the first rule that matches at a position wins.  Unnamed
+#: alternatives (blanks, comments) are skipped.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<nl>\n[ \t\r]*)
+    | [ \t\r]+|--[^\n]*
+    | (?P<BITSTRING>[xXbBoO]?"[0-9a-fA-F_]*")
+    # A character literal like '0', unless the tick belongs to an
+    # attribute (foo'range) -- decided in the loop from the previous token.
+    | (?P<CHAR>'[^\n]')
+    | (?P<ID>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<NUMBER>[0-9][0-9_]*)
+    | (?P<OP>""" + "|".join(map(re.escape, _OPERATORS)) + r""")
+    | (?P<bad>[\s\S])
+    """,
+    re.VERBOSE,
+)
 
 #: Keywords after which a tick must be a character literal, never an
 #: attribute (only *names* take attributes).
@@ -42,8 +58,7 @@ _NON_NAME_KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -80,7 +95,11 @@ def _bitstring_value(text: str) -> int:
     base, digits = _split_bitstring(text)
     if not digits:
         return 0
-    return int(digits, {"b": 2, "o": 8, "x": 16}[base])
+    radix = {"b": 2, "o": 8, "x": 16}[base]
+    try:
+        return int(digits, radix)
+    except ValueError:
+        raise ValueError(f"invalid base-{radix} literal {text!r}") from None
 
 
 def _bitstring_width(text: str) -> int:
@@ -91,58 +110,40 @@ def _bitstring_width(text: str) -> int:
 
 def tokenize(source: SourceFile) -> list[Token]:
     text = source.text
+    match = _TOKEN_RE.match
     tokens: list[Token] = []
+    append = tokens.append
     pos = 0
     line = 1
     n = len(text)
     while pos < n:
-        ch = text[pos]
-        if ch == "\n":
+        m = match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "ID":
+            append(Token(ID, m.group().lower(), line))
+        elif kind == "OP":
+            append(Token(OP, _OP_TEXT[m.group()], line))
+        elif kind is None:
+            pass
+        elif kind == "nl":
             line += 1
-            pos += 1
-            continue
-        m = _WS_RE.match(text, pos)
-        if m:
-            pos = m.end()
-            continue
-        if text.startswith("--", pos):
-            end = text.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        m = _BITSTR_RE.match(text, pos)
-        if m and (m.group(1) or text[pos] == '"'):
-            tokens.append(Token(BITSTRING, m.group(0), line))
-            pos = m.end()
-            continue
-        if ch == "'":
-            # Character literal only when not an attribute tick: the token
-            # before an attribute tick is an identifier or ')'.
+        elif kind == "CHAR":
+            # The token before an attribute tick is a name or ')'.
             prev = tokens[-1] if tokens else None
-            is_attribute = prev is not None and (
+            if prev is not None and (
                 (prev.kind == ID and prev.value not in _NON_NAME_KEYWORDS)
                 or (prev.kind == OP and prev.value == ")")
-            )
-            m = _CHAR_RE.match(text, pos)
-            if m and not is_attribute:
-                tokens.append(Token(CHAR, m.group(1), line))
-                pos = m.end()
-                continue
-        m = _ID_RE.match(text, pos)
-        if m:
-            tokens.append(Token(ID, m.group(0).lower(), line))
-            pos = m.end()
-            continue
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(Token(NUMBER, m.group(0), line))
-            pos = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, pos):
-                tokens.append(Token(OP, op, line))
-                pos += len(op)
-                break
+            ):
+                append(Token(OP, _OP_TEXT["'"], line))
+                pos -= 2
+            else:
+                append(Token(CHAR, m.group()[1], line))
+        elif kind == "NUMBER" or kind == "BITSTRING":
+            append(Token(kind, m.group(), line))
         else:
-            raise HdlSyntaxError(f"unexpected character {ch!r}", source.name, line)
+            raise HdlSyntaxError(
+                f"unexpected character {m.group()!r}", source.name, line
+            )
     tokens.append(Token(EOF, "", line))
     return tokens

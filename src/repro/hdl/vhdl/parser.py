@@ -73,7 +73,11 @@ class _Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # ``pos`` never passes the trailing EOF token; a lookahead may.
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -82,8 +86,8 @@ class _Parser:
         return tok
 
     def check(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind in (ID, OP) and tok.value == value
+        tok = self.tokens[self.pos]
+        return tok.value == value and tok.kind in (ID, OP)
 
     def accept(self, value: str) -> bool:
         if self.check(value):
@@ -785,7 +789,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind in (NUMBER, BITSTRING, CHAR):
             self.advance()
-            return ast.Number(tok.int_value, tok.width)
+            try:
+                return ast.Number(tok.int_value, tok.width)
+            except ValueError as exc:  # a bad digit, or a non-bit character
+                raise HdlSyntaxError(str(exc), self.source.name, tok.line) from None
         if tok.kind == OP and tok.value == "(":
             self.advance()
             if self.check("others"):

@@ -315,17 +315,15 @@ def lint_sources(
     with obs_trace.span("lint.run", files=len(sources), jobs=jobs):
         for source in sources:
             try:
-                design = design.merge(parse_source(source))
-            except HdlError as exc:
-                errors.append(
-                    Diagnostic(
-                        severity=Severity.ERROR,
-                        stage="parse",
-                        message=str(exc),
-                        span=SourceSpan(exc.file or source.name, exc.line or 0),
-                        hint=exc.hint,
-                    )
-                )
+                parsed = parse_source(source)
+            except (HdlError, ValueError) as exc:
+                # Besides syntax errors: an unknown language, or a module
+                # defined twice within one file.
+                diag = Diagnostic.from_exception(exc, "parse")
+                errors.append(replace(diag, span=diag.span or SourceSpan(source.name)))
+                continue
+            try:
+                design = design.merge(parsed)
             except ValueError as exc:  # duplicate module definition
                 errors.append(
                     Diagnostic(

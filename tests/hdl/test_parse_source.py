@@ -124,3 +124,52 @@ class TestVerilogErrorPaths:
     def test_expression_error_has_location(self):
         with pytest.raises(HdlSyntaxError, match="t.v:2"):
             self._parse("module m(input a);\nassign y = ~;\nendmodule")
+
+
+_BAD_LITERALS = [
+    ("bad.v", "module m(output [3:0] y);\n  assign y = 4'b1021;\nendmodule\n",
+     "4'b1021", 2),
+    ("bad.v", "module m(output [7:0] y);\n\n  assign y = 8'o9;\nendmodule\n",
+     "8'o9", 3),
+    ("bad.vhd", "entity m is port (y : out std_logic_vector(3 downto 0));\n"
+     "end entity;\narchitecture rtl of m is\nbegin\n  y <= b\"1021\";\n"
+     "end architecture;\n", 'b"1021"', 5),
+    ("bad.vhd", "entity m is port (y : out std_logic_vector(2 downto 0));\n"
+     "end entity;\narchitecture rtl of m is\nbegin\n\n  y <= o\"8\";\n"
+     "end architecture;\n", 'o"8"', 6),
+]
+
+
+class TestInvalidLiteralDigits:
+    """A digit outside a literal's base is a located syntax error."""
+
+    @pytest.mark.parametrize("name, text, literal, line", _BAD_LITERALS)
+    def test_parse_raises_syntax_error(self, name, text, literal, line):
+        with pytest.raises(HdlSyntaxError) as info:
+            parse_source(SourceFile(name, text))
+        assert info.value.line == line
+        assert info.value.file == name
+        assert literal in info.value.message
+
+    @pytest.mark.parametrize("name, text, literal, line", _BAD_LITERALS)
+    def test_lint_reports_parse_stage(self, name, text, literal, line):
+        from repro.lint import lint_sources
+
+        report = lint_sources([SourceFile(name, text)])
+        (diag,) = report.errors
+        assert diag.stage == "parse"
+        assert (diag.span.file, diag.span.line) == (name, line)
+        assert literal in diag.message
+        assert "defined twice" not in (diag.hint or "")
+
+    @pytest.mark.parametrize("name, text, literal, line", _BAD_LITERALS)
+    def test_measure_reports_parse_stage(self, name, text, literal, line):
+        from repro.core.workflow import measure_component_safe
+
+        result = measure_component_safe([SourceFile(name, text)], top="m")
+        located = [d for d in result.diagnostics if d.span is not None]
+        assert len(located) == 1
+        (diag,) = located
+        assert diag.stage == "parse"
+        assert (diag.span.file, diag.span.line) == (name, line)
+        assert literal in diag.message

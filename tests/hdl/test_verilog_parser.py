@@ -304,6 +304,24 @@ class TestExpressions:
         assert e.op == "-"
         assert isinstance(e.lhs, ast.Binary) and e.lhs.op == "-"
 
+    def test_all_binary_levels_with_unary_and_ternary(self):
+        e = self._rhs(
+            "c || a && b | a ^ b & a == b != c < a >= b << 2 >> c"
+            " + -a * b % 2 - ~b / a ? a : !c"
+        )
+        a, b, c = ast.Ident("a"), ast.Ident("b"), ast.Ident("c")
+        B = ast.Binary
+        arith = B(
+            "-",
+            B("+", c, B("%", B("*", ast.Unary("-", a), b), ast.Number(2))),
+            B("/", ast.Unary("~", b), a),
+        )
+        shift = B(">>", B("<<", b, ast.Number(2)), arith)
+        compare = B(">=", B("<", c, a), shift)
+        equality = B("!=", B("==", a, b), compare)
+        cond = B("||", c, B("&&", a, B("|", b, B("^", a, B("&", b, equality)))))
+        assert e == ast.Ternary(cond, a, ast.Unary("!", c))
+
     def test_unary_reduce(self):
         e = self._rhs("&a | ^b")
         assert e.op == "|"
