@@ -19,8 +19,7 @@ import pickle
 import time
 
 from repro.cache import SynthesisCache, hit_rate
-from repro.core.workflow import measure_components
-from repro.designs.loader import measure_catalog
+from repro.core.engine import Engine
 from repro.gen import corpus_specs, generate_corpus
 from repro.obs import metrics as obs_metrics
 
@@ -57,8 +56,8 @@ def test_parallel_catalog_speedup(bench_series, report):
     specs = _speedup_specs()
     # cache=None keeps every repeat cold: no measurement memo, no
     # synthesis entries, so the pooled run cannot hide behind the cache.
-    t_seq, sequential = _timed(lambda: measure_components(specs))
-    t_par, pooled = _timed(lambda: measure_components(specs, jobs=JOBS))
+    t_seq, sequential = _timed(lambda: Engine().measure_components(specs))
+    t_par, pooled = _timed(lambda: Engine(jobs=JOBS).measure_components(specs))
 
     # Equivalence is the contract; speed is the series.
     assert list(pooled.results) == list(sequential.results)
@@ -80,10 +79,10 @@ def test_cache_warm_hit_rate(bench_series, report, tmp_path):
     cache = SynthesisCache(tmp_path / "cache")
 
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
-        measure_catalog(cache=cache)
+        Engine(cache=cache).measure_catalog()
         cold = obs_metrics.snapshot()["counters"]
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
-        warm_run = measure_catalog(cache=cache)
+        warm_run = Engine(cache=cache).measure_catalog()
         warm = obs_metrics.snapshot()["counters"]
 
     cold_synth = cold.get("synth.specializations", 0.0)

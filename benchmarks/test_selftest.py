@@ -4,7 +4,7 @@ Two series the harness tracks in BENCH_obs.json:
 
 * ``gen.corpus_throughput`` -- components/second pushing the 200-module
   generated catalog (100 Verilog + 100 VHDL) through
-  ``measure_components`` with ``jobs`` and a cold content-addressed
+  ``Engine.measure_components`` with ``jobs`` and a cold content-addressed
   cache; the scale workload the ISSUE asks for.
 * ``gen.recovery_bias`` -- max absolute relative weight bias of the
   exact-ML fitter on a small seeded recovery study (no bootstrap; the
@@ -15,7 +15,7 @@ Two series the harness tracks in BENCH_obs.json:
 import time
 
 from repro.cache import SynthesisCache
-from repro.core.workflow import measure_components
+from repro.core.engine import Engine
 from repro.gen import corpus_specs, generate_corpus, run_recovery_study
 from repro.hdl.source import VERILOG, VHDL
 
@@ -30,7 +30,7 @@ def test_generated_catalog_throughput(bench_series, report, tmp_path):
     cache = SynthesisCache(tmp_path / "cache")
 
     t0 = time.perf_counter()
-    batch = measure_components(specs, jobs=JOBS, cache=cache)
+    batch = Engine(jobs=JOBS, cache=cache).measure_components(specs)
     elapsed = time.perf_counter() - t0
 
     assert not batch.failures
@@ -46,7 +46,7 @@ def test_generated_catalog_throughput(bench_series, report, tmp_path):
     bench_series("gen.corpus_throughput", throughput)
 
     t0 = time.perf_counter()
-    warm = measure_components(specs, jobs=JOBS, cache=cache)
+    warm = Engine(jobs=JOBS, cache=cache).measure_components(specs)
     warm_elapsed = time.perf_counter() - t0
     assert len(warm.measurements) == 2 * CATALOG_SIZE
 

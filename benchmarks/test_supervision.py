@@ -8,7 +8,7 @@ is gated by ``parallel.speedup_jobs4`` and its hard 1.0 floor.
 
 import time
 
-from repro.core.workflow import measure_components
+from repro.core.engine import Engine
 from repro.exec import SupervisionPolicy
 from repro.gen import corpus_specs, generate_corpus
 
@@ -39,7 +39,7 @@ def test_chaos_completion_rate(bench_series, report):
         chaos=injured,
     )
     t0 = time.perf_counter()
-    batch = measure_components(specs, jobs=JOBS, supervision=policy)
+    batch = Engine(jobs=JOBS, supervision=policy).measure_components(specs)
     wall = time.perf_counter() - t0
 
     # Injured components quarantine; every healthy one completes exactly.

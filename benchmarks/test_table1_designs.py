@@ -6,11 +6,11 @@ bundled catalog (the front of the measurement flow).
 """
 
 from repro.analysis.tables import render_table
-from repro.core.workflow import parse_component
 from repro.data.paper import DESIGN_CHARACTERISTICS
 from repro.designs.catalog import CATALOG, component_specs
 from repro.designs.loader import load_sources
 from repro.elab import elaborate
+from repro.hdl import ast, parse_source
 
 
 def test_table1_characteristics(report, benchmark):
@@ -43,7 +43,9 @@ def test_table1_characteristics(report, benchmark):
 
     def parse_and_elaborate_catalog():
         for spec in component_specs():
-            design = parse_component(load_sources(spec))
+            design = ast.Design()
+            for source in load_sources(spec):
+                design = design.merge(parse_source(source))
             elaborate(design, spec.top)
 
     benchmark.pedantic(parse_and_elaborate_catalog, rounds=2, iterations=1)

@@ -9,7 +9,7 @@ synthesis -> metric vector) on that component.
 
 from repro.analysis.tables import render_table
 from repro.core.metrics import METRIC_REGISTRY
-from repro.core.workflow import measure_component
+from repro.core.engine import Engine
 from repro.designs.catalog import CATALOG
 from repro.designs.loader import load_sources
 
@@ -28,7 +28,7 @@ def test_table3_metric_registry(report, benchmark):
     sources = load_sources(spec)
 
     measurement = benchmark.pedantic(
-        lambda: measure_component(sources, spec.top, name=spec.label),
+        lambda: Engine().measure_component(sources, spec.top, name=spec.label),
         rounds=3, iterations=1,
     )
     rows = [[k, f"{v:.1f}"] for k, v in sorted(measurement.metrics.items())]

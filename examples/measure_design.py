@@ -11,7 +11,7 @@ Run with::
     python examples/measure_design.py
 """
 
-from repro import AccountingPolicy, measure_component
+from repro import AccountingPolicy, Engine
 from repro.designs.catalog import CATALOG
 from repro.designs.loader import load_sources
 
@@ -22,12 +22,13 @@ def show(measurement) -> None:
 
 
 def main() -> None:
+    engine = Engine()
     for spec in CATALOG["RAT"].components:
         sources = load_sources(spec)
         print(f"\n=== {spec.label} (top: {spec.top}) ===")
         print(f"  sources: {', '.join(s.name for s in sources)}")
 
-        with_acct = measure_component(
+        with_acct = engine.measure_component(
             sources, spec.top, name=spec.label,
             policy=AccountingPolicy.recommended(),
         )
@@ -38,7 +39,7 @@ def main() -> None:
         print("  metrics:")
         show(with_acct)
 
-        without = measure_component(
+        without = engine.measure_component(
             sources, spec.top, name=spec.label,
             policy=AccountingPolicy.disabled(),
         )

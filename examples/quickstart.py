@@ -51,14 +51,15 @@ def main() -> None:
     # content-addressed synthesis cache (rerun this script: the second pass
     # hits and skips synthesis entirely).
     from repro.cache import SynthesisCache, hit_rate
-    from repro.core.workflow import measure_component
+    from repro import Engine
     from repro.designs.catalog import component_specs
     from repro.designs.loader import load_sources
 
     spec = component_specs()[0]
     cache = SynthesisCache.default()
-    m = measure_component(load_sources(spec), spec.top, name=spec.label,
-                          cache=cache)
+    m = Engine(cache=cache).measure_component(
+        load_sources(spec), spec.top, name=spec.label
+    )
     print(f"\nmeasured {spec.label}: LoC={m.metrics['LoC']:.0f}, "
           f"Stmts={m.metrics['Stmts']:.0f}, FanInLC={m.metrics['FanInLC']:.0f}")
 

@@ -19,9 +19,9 @@ Quick start::
 """
 
 from repro.core.accounting import AccountingPolicy
+from repro.core.engine import Engine
 from repro.core.estimator import DesignEffortEstimator, fit_dee1
 from repro.core.productivity import ProductivityLedger, calibrate_productivity
-from repro.core.workflow import measure_component
 from repro.data.dataset import EffortDataset, EffortRecord
 from repro.data.paper import paper_dataset
 from repro.stats.lognormal import confidence_factors, confidence_interval
@@ -35,6 +35,7 @@ __all__ = [
     "DesignEffortEstimator",
     "EffortDataset",
     "EffortRecord",
+    "Engine",
     "ProductivityLedger",
     "calibrate_productivity",
     "confidence_factors",
@@ -42,6 +43,5 @@ __all__ = [
     "fit_dee1",
     "fit_fixed_effects",
     "fit_nlme",
-    "measure_component",
     "paper_dataset",
 ]

@@ -56,7 +56,6 @@ from repro.analysis.evaluation import evaluate_estimators
 from repro.analysis.tables import render_table, render_table4
 from repro.core.accounting import AccountingPolicy
 from repro.core.estimator import DesignEffortEstimator
-from repro.core.workflow import measure_component_safe
 from repro.data.dataset import EffortDataset
 from repro.data.paper import paper_dataset
 from repro.hdl.source import SourceFile
@@ -148,6 +147,18 @@ def _cache_from_args(args: argparse.Namespace):
     return SynthesisCache(Path(cache_dir)) if cache_dir else SynthesisCache.default()
 
 
+def _engine_from_args(args: argparse.Namespace, handle_signals: bool = True):
+    """The run's :class:`~repro.core.engine.Engine` (cache, pool, journal)."""
+    from repro.core.engine import Engine
+
+    return Engine(
+        cache=_cache_from_args(args),
+        jobs=args.jobs,
+        supervision=_supervision_from_args(args, handle_signals),
+        journal=_journal_from_args(args),
+    )
+
+
 def _print_diagnostics(diagnostics) -> None:
     if diagnostics:
         print(render_report(list(diagnostics)), file=sys.stderr)
@@ -184,12 +195,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             sources.append(SourceFile.from_path(path))
         except Exception as exc:  # noqa: BLE001 -- quarantine unreadable files
             diagnostics.append(Diagnostic.from_exception(exc, "parse"))
-    result = measure_component_safe(
-        sources, args.top, policy=policy,
-        cache=_cache_from_args(args), jobs=args.jobs,
-        lint=args.lint,
-        supervision=_supervision_from_args(args),
-        journal=_journal_from_args(args),
+    result = _engine_from_args(args).measure_component_safe(
+        sources, args.top, policy=policy, lint=args.lint,
     )
     diagnostics.extend(result.diagnostics)
     _print_diagnostics(diagnostics)
@@ -213,7 +220,7 @@ def _measure_catalog(args: argparse.Namespace, policy) -> int:
     walkthrough: many small independent components, dispatched through
     the supervised pool when ``--jobs > 1``.
     """
-    from repro.core.workflow import catalog_specs, measure_components
+    from repro.core.workflow import catalog_specs
 
     try:
         specs = catalog_specs(args.catalog, policy=policy,
@@ -221,11 +228,8 @@ def _measure_catalog(args: argparse.Namespace, policy) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    batch = measure_components(
-        specs, strict=args.strict, jobs=args.jobs,
-        cache=_cache_from_args(args), lint=args.lint,
-        supervision=_supervision_from_args(args),
-        journal=_journal_from_args(args),
+    batch = _engine_from_args(args).measure_components(
+        specs, strict=args.strict, lint=args.lint,
     )
     rows = []
     for name in sorted(batch.results):
@@ -410,7 +414,6 @@ def _explain_rule(code: str) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.core.engine import Engine
     from repro.lint import (
         LintConfig,
         LintConfigError,
@@ -446,11 +449,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     disable = args.disable.split(",") if args.disable else ()
     config = config.with_rules(only=only, disable=disable)
 
-    engine = Engine(
-        cache=_cache_from_args(args), jobs=args.jobs,
-        supervision=_supervision_from_args(args),
-    )
-    report = engine.lint(sources, config)
+    report = _engine_from_args(args).lint(sources, config)
     if args.write_baseline:
         count = write_baseline(report.findings, args.write_baseline)
         print(f"baseline written to {args.write_baseline}: "
@@ -580,15 +579,9 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro import exec as rexec
-    from repro.core.engine import Engine
     from repro.serve import ServeConfig, ServeSession, serve_forever
 
-    engine = Engine(
-        cache=_cache_from_args(args),
-        jobs=args.jobs,
-        supervision=_supervision_from_args(args, handle_signals=False),
-        journal=_journal_from_args(args),
-    )
+    engine = _engine_from_args(args, handle_signals=False)
     # A previous forced shutdown in this process may have left the
     # cross-thread interrupt latched; a fresh daemon starts clean.
     rexec.clear_interrupt()
@@ -662,8 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--worker-mem-mb", type=int, default=None, metavar="N",
-        help="address-space ceiling per --jobs worker, in MiB; a task that "
-             "exceeds it fails cleanly and is retried, then quarantined",
+        help="address-space headroom per --jobs worker, in MiB, on top of "
+             "what the worker inherits at start; a task that exceeds it "
+             "fails cleanly and is retried, then quarantined",
     )
     common.add_argument(
         "--progress", action="store_true",

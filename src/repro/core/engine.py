@@ -1,25 +1,23 @@
 """The measurement engine: one long-lived object behind CLI and server.
 
-Historically :mod:`repro.core.workflow` exposed per-call pipeline
-functions; every invocation re-derived its execution environment (cache,
-supervision policy, pool width, journal) from its argument list.  That is
-fine for a one-shot CLI run but wrong for a long-running process, where
-the environment is fixed at startup and thousands of calls share it.
-
-:class:`Engine` is that split: construct it once with the run-invariant
-state --
+:class:`Engine` holds the run-invariant execution environment --
 
 * the content-addressed :class:`~repro.cache.SynthesisCache` (and its
   whole-component measurement memo),
 * the :class:`~repro.exec.SupervisionPolicy` governing the worker pool,
 * the pool width (``jobs``) and optional crash-safe journal,
 
--- then call :meth:`measure_component` / :meth:`measure_components` /
-:meth:`measure_catalog` / :meth:`lint` / :meth:`fit_estimator` as often
-as needed.  The free functions in :mod:`repro.core.workflow` (and
-:func:`repro.designs.loader.measure_catalog`) are now thin wrappers that
-build a throwaway ``Engine`` per call, so the CLI and the ``ucomplexity
-serve`` daemon share exactly one code path and stay byte-identical.
+-- and exposes the pipeline entry points :meth:`measure_component` /
+:meth:`measure_component_safe` / :meth:`measure_components` /
+:meth:`measure_catalog` / :meth:`lint` / :meth:`fit_estimator`.  A
+one-shot CLI run builds one engine; the ``ucomplexity serve`` daemon
+builds one at startup and reuses it for every request, so both share
+exactly one code path and stay byte-identical.
+
+There is one measurement pipeline, the fault-tolerant one
+(:meth:`measure_component_safe`, Section 2's parse -> software metrics ->
+elaborate + accounting -> synthesize -> aggregate flow).  Strict,
+raising measurement is that pipeline with ``strict=True``.
 
 The engine itself holds no mutable pipeline state besides the estimator
 fit cache: measurement results depend only on (sources, policy, flags),
@@ -40,10 +38,6 @@ from repro.core.workflow import (
     ComponentMeasurement,
     ComponentSpec,
     SpecKey,
-    _lint_audit,
-    _probe_cache,
-    _unique_specs,
-    parse_component,
 )
 from repro.elab.degeneracy import minimal_parameters
 from repro.elab.elaborator import elaborate
@@ -52,7 +46,12 @@ from repro.hdl.metrics import software_metrics
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.diagnostics import Diagnostic, Result, Severity
+from repro.runtime.diagnostics import (
+    Diagnostic,
+    Result,
+    Severity,
+    render_report,
+)
 from repro.runtime.stages import STAGE_HINTS, StageBoundary
 from repro.synth.lower import synthesize_module
 from repro.synth.report import SynthesisReport, synthesis_metrics
@@ -64,6 +63,106 @@ if TYPE_CHECKING:
     from repro.exec import RunJournal, SupervisionPolicy
     from repro.lint.engine import LintReport
     from repro.lint.rules import LintConfig
+
+
+def _probe_cache(
+    cache: "SynthesisCache | None",
+    source_texts: tuple[str, ...],
+    keys: Sequence[tuple[SpecKey, str, Mapping[str, int]]],
+    reports: dict[SpecKey, SynthesisReport],
+) -> tuple[list[tuple[SpecKey, str, Mapping[str, int]]], dict[SpecKey, str], list[str]]:
+    """Probe the cache for each unique specialization.
+
+    Fills ``reports`` with hits; returns the misses (in order), the
+    spec-key -> cache-key mapping for later stores, and the details of any
+    corrupt entries encountered (already evicted and counted -- the caller
+    decides whether to surface them as WARNING diagnostics).
+    """
+    to_compute: list[tuple[SpecKey, str, Mapping[str, int]]] = []
+    cache_keys: dict[SpecKey, str] = {}
+    corrupt: list[str] = []
+    for key, module_name, params in keys:
+        if cache is None:
+            to_compute.append((key, module_name, params))
+            continue
+        ckey = cache.key(source_texts, module_name, params)
+        cache_keys[key] = ckey
+        lookup = cache.load(ckey)
+        if lookup.hit:
+            reports[key] = lookup.value
+        else:
+            if lookup.corrupt:
+                corrupt.append(lookup.detail)
+            to_compute.append((key, module_name, params))
+    return to_compute, cache_keys, corrupt
+
+
+def _unique_specs(
+    selected: Sequence[tuple[str, Mapping[str, int]]],
+) -> list[tuple[SpecKey, str, Mapping[str, int]]]:
+    """The distinct specializations of ``selected``, first-seen order."""
+    seen: set[SpecKey] = set()
+    unique: list[tuple[SpecKey, str, Mapping[str, int]]] = []
+    for module_name, params in selected:
+        key = (module_name, tuple(sorted(params.items())))
+        if key not in seen:
+            seen.add(key)
+            unique.append((key, module_name, params))
+    return unique
+
+
+def _lint_audit(design: ast.Design, label: str, boundary: StageBoundary) -> None:
+    """Audit the parsed catalog against the ACC accounting rules.
+
+    Violations surface as WARNING diagnostics (advisory: the measurement
+    still runs, and the batch exit code is unchanged) and bump the
+    ``lint.violations`` counter.  Lint-internal errors (e.g. a module the
+    linter cannot elaborate) are dropped here -- the measurement's own
+    elaborate stage reports anything that actually blocks measuring.
+    """
+    from dataclasses import replace as _replace
+
+    from repro.lint import ACC_RULES, LintConfig, lint_design
+
+    report = boundary.run(
+        "lint", lambda: lint_design(design, LintConfig().with_rules(ACC_RULES))
+    )
+    if report is None:
+        return
+    obs_metrics.counter("lint.violations").inc(len(report.findings))
+    for finding in report.findings:
+        diag = finding.to_diagnostic()
+        boundary.diagnostics.append(
+            _replace(
+                diag,
+                severity=Severity.WARNING,
+                component=label,
+                message=f"{label}: accounting audit: {diag.message}",
+            )
+        )
+
+
+def synthesize_specialization(
+    design: ast.Design,
+    module: str,
+    params: Mapping[str, int],
+    label: str,
+    strict: bool,
+) -> tuple[SynthesisReport | None, tuple[Diagnostic, ...]]:
+    """Elaborate and synthesize one specialization under its own boundary.
+
+    The unit of work of the specialization loop, inline or in a pool
+    worker: the report (``None`` when it failed) plus the diagnostics the
+    failure left.  ``strict`` raises the failure instead.
+    """
+
+    def _synth():
+        sub = elaborate(design, module, params)
+        return synthesis_metrics(synthesize_module(sub), sub, design)
+
+    boundary = StageBoundary(component=label, strict=strict)
+    report = boundary.run("synthesize", _synth)
+    return report, tuple(boundary.diagnostics)
 
 
 def _flow_metrics(reports: Sequence[SynthesisReport]) -> dict[str, float]:
@@ -110,96 +209,23 @@ class Engine:
         self.journal = journal
         self._estimators: dict[tuple, "DesignEffortEstimator"] = {}
 
-    # -- strict (raising) measurement ----------------------------------------
+    # -- measurement -----------------------------------------------------------
 
     def measure_component(
         self,
-        sources: list[SourceFile],
+        sources: Sequence[SourceFile],
         top: str,
         name: str | None = None,
         policy: AccountingPolicy = AccountingPolicy.recommended(),
-        design: ast.Design | None = None,
     ) -> ComponentMeasurement:
-        """Measure every Table 3 metric for one component (raising)."""
-        with obs_trace.span("measure.component", component=name or top):
-            if design is None:
-                design = parse_component(sources)
-            with obs_trace.span("measure.software_metrics"):
-                metrics: dict[str, float] = dict(
-                    software_metrics(sources, design)
-                )
+        """Measure every Table 3 metric for one component (raising).
 
-            hierarchy = elaborate(design, top)
-            instances = hierarchy.all_instances()
-            with obs_trace.span("account"):
-                selected = select_components(
-                    instances,
-                    policy,
-                    minimal_parameters=lambda module: minimal_parameters(
-                        design, module
-                    ),
-                )
-
-            reports: dict[SpecKey, SynthesisReport] = {}
-            source_texts = tuple(s.text for s in sources)
-            to_compute, cache_keys, _corrupt = _probe_cache(
-                self.cache, source_texts, _unique_specs(selected), reports
-            )
-
-            if self.jobs > 1 and len(to_compute) > 1:
-                from repro.parallel import (
-                    quarantined_to_error,
-                    synthesize_specializations,
-                )
-
-                outcomes = synthesize_specializations(
-                    design,
-                    [(m, p) for _, m, p in to_compute],
-                    label=name or top,
-                    jobs=self.jobs,
-                    safe=False,
-                    supervision=self.supervision,
-                    journal=self.journal,
-                    source_texts=source_texts,
-                )
-                for (key, _m, _p), outcome in zip(to_compute, outcomes):
-                    outcome = quarantined_to_error(outcome)
-                    if outcome.error is not None:
-                        raise outcome.error
-                    reports[key] = outcome.value
-            else:
-                for key, module_name, params in to_compute:
-                    with obs_trace.span(
-                        "measure.specialization", module=module_name
-                    ) as sp:
-                        sub = elaborate(design, module_name, params)
-                        netlist = synthesize_module(sub)
-                        reports[key] = synthesis_metrics(netlist, sub, design)
-                    if sp.wall_s is not None:
-                        obs_metrics.histogram(
-                            "measure.specialization_wall_s"
-                        ).observe(sp.wall_s)
-            if self.cache is not None:
-                for key, _m, _p in to_compute:
-                    self.cache.store(cache_keys[key], reports[key])
-
-            selected_reports = [
-                reports[(m, tuple(sorted(p.items())))] for m, p in selected
-            ]
-            metrics.update(
-                aggregate_metrics([r.metrics() for r in selected_reports])
-            )
-            metrics.update(_flow_metrics(selected_reports))
-            return ComponentMeasurement(
-                name=name or top,
-                top=top,
-                policy=policy,
-                metrics=metrics,
-                specializations=selected,
-                reports=reports,
-            )
-
-    # -- fault-tolerant measurement ------------------------------------------
+        The fault-tolerant pipeline in strict mode: the first failure
+        raises instead of degrading the measurement.
+        """
+        return self.measure_component_safe(
+            sources, top, name=name, policy=policy, strict=True
+        ).unwrap()
 
     def measure_component_safe(
         self,
@@ -212,9 +238,27 @@ class Engine:
     ) -> Result[ComponentMeasurement]:
         """Measure one component with per-stage fault isolation.
 
-        See :func:`repro.core.workflow.measure_component_safe` for the
-        degradation ladder; this is the same code, bound to the engine's
-        cache/pool configuration.
+        Failures do not propagate (unless ``strict``); they become
+        structured diagnostics and the measurement degrades along a fixed
+        ladder:
+
+        * a source file that fails to **parse** is quarantined -- the
+          remaining files still produce software metrics and, if the top
+          is intact, a full synthesis measurement;
+        * an **elaboration** failure keeps the software metrics (LoC/Stmts)
+          as a partial result and skips synthesis;
+        * a specialization that fails **synthesis lowering**, or whose pool
+          task the supervisor quarantines, is left out -- the compounded
+          index aggregates the remaining specializations.
+
+        The returned :class:`Result` is ok (clean), degraded (value + ERROR
+        diagnostics), or failed (no parseable input at all).  ``strict``
+        raises the first failure instead, including a supervisor
+        quarantine (as a ``RuntimeError`` carrying its report).  A corrupt
+        cache entry degrades to a recompute plus a WARNING diagnostic.
+        ``lint=True`` audits the parsed catalog against the ACC accounting
+        rules first (:mod:`repro.lint`); violations become WARNING
+        diagnostics.
         """
         label = name or top
         with obs_trace.span("measure.component_safe", component=label):
@@ -314,7 +358,6 @@ class Engine:
                 [(m, p) for _, m, p in to_compute],
                 label=label,
                 jobs=self.jobs,
-                safe=True,
                 strict=strict,
                 supervision=self.supervision,
                 journal=self.journal,
@@ -332,18 +375,21 @@ class Engine:
                     boundary.diagnostics.extend(
                         d for d in outcome.diagnostics if d.stage == "exec"
                     )
+                elif strict:
+                    # Supervisor quarantine: no exception object to re-raise.
+                    raise RuntimeError(
+                        "task quarantined by the supervisor:\n"
+                        + render_report(list(outcome.diagnostics))
+                    )
                 else:
                     failed[key] = outcome.diagnostics
         else:
             for key, module_name, params in to_compute:
-                def _synth(m=module_name, p=params):
-                    sub = elaborate(design, m, p)
-                    return synthesis_metrics(synthesize_module(sub), sub, design)
-
-                scratch = StageBoundary(component=label, strict=strict)
-                report = scratch.run("synthesize", _synth)
+                report, diagnostics = synthesize_specialization(
+                    design, module_name, params, label, strict
+                )
                 if report is None:
-                    failed[key] = tuple(scratch.diagnostics)
+                    failed[key] = diagnostics
                 else:
                     reports[key] = report
         if self.cache is not None:
@@ -400,50 +446,61 @@ class Engine:
     ) -> BatchMeasurement:
         """Measure a batch of components, isolating faults per component.
 
-        ``pool`` selects the execution path: ``None`` (the CLI default)
-        uses the pool only when it pays (``jobs > 1`` and more than one
-        spec); ``True`` forces every cache-missed spec through the
-        supervised pool even for a single component (the serve daemon
+        A faulty component never aborts the batch: its failure is captured
+        as diagnostics in ``results[name]`` and the rest are measured
+        normally.  ``strict=True`` restores fail-fast behavior.
+
+        The whole-component measurement memo is probed here, in the
+        parent, so a warm component is served straight from the cache
+        and a fully warm batch never dispatches a task; pristine fresh
+        measurements are stored for next time.  ``pool`` selects how the
+        misses run: ``None`` (the CLI default) uses the supervised pool
+        only when it pays (``jobs > 1`` and more than one spec); ``True``
+        forces the pool even for a single component (the serve daemon
         wants worker isolation for all untrusted input); ``False`` forces
         the inline sequential path.  All three produce byte-identical
-        results -- the whole-component measurement memo is probed in the
-        parent either way, so fully warm batches never dispatch a task.
+        results, in ``specs`` order.
         """
         use_pool = (
             self.jobs > 1 and len(specs) > 1 if pool is None else pool
         )
-        if use_pool:
-            from repro.parallel import measure_components_parallel
-
-            return measure_components_parallel(
-                specs, strict=strict, jobs=self.jobs, cache=self.cache,
-                lint=lint, supervision=self.supervision,
-                journal=self.journal,
-            )
         results: dict[str, Result[ComponentMeasurement]] = {}
+        memo_keys: dict[str, str] = {}
+        misses: list[ComponentSpec] = []
         for spec in specs:
-            # Whole-measurement memo, mirroring the parallel path's
-            # cache-aware dispatch: a warm component is served straight
-            # from the cache; a pristine fresh measurement is stored for
-            # next time.
-            memo_key = None
             if self.cache is not None:
-                memo_key = self.cache.measurement_key(spec, strict, lint)
-                hit = self.cache.load_measurement(memo_key)
+                memo_keys[spec.name] = self.cache.measurement_key(
+                    spec, strict, lint
+                )
+                hit = self.cache.load_measurement(memo_keys[spec.name])
                 if hit is not None:
                     results[spec.name] = hit
                     continue
-            results[spec.name] = self.measure_component_safe(
-                list(spec.sources),
-                spec.top,
-                name=spec.name,
-                policy=spec.policy,
-                strict=strict,
-                lint=lint,
+            misses.append(spec)
+        if use_pool and misses:
+            from repro.parallel import measure_components_parallel
+
+            fresh = measure_components_parallel(
+                misses, strict=strict, jobs=self.jobs, cache=self.cache,
+                lint=lint, supervision=self.supervision,
+                journal=self.journal,
             )
-            if memo_key is not None:
-                self.cache.store_measurement(memo_key, results[spec.name])
-        return BatchMeasurement(results=results)
+        else:
+            fresh = {
+                spec.name: self.measure_component_safe(
+                    spec.sources, spec.top, name=spec.name,
+                    policy=spec.policy, strict=strict, lint=lint,
+                )
+                for spec in misses
+            }
+        for name, result in fresh.items():
+            if name in memo_keys:
+                # store_measurement refuses degraded results.
+                self.cache.store_measurement(memo_keys[name], result)
+        results.update(fresh)
+        return BatchMeasurement(
+            results={s.name: results[s.name] for s in specs if s.name in results}
+        )
 
     def measure_catalog(
         self,
@@ -454,9 +511,7 @@ class Engine:
 
         Returns component label -> measurement, in catalog order.  The
         bundled RTL is trusted, so a failure raises (strict mode) rather
-        than quarantining -- same contract as
-        :func:`repro.designs.loader.measure_catalog`, which now wraps
-        this method.
+        than quarantining.
         """
         from repro.designs.catalog import component_specs
         from repro.designs.loader import load_sources
@@ -466,29 +521,21 @@ class Engine:
             for spec in component_specs()
             if designs is None or spec.design in designs
         ]
-        if self.jobs > 1 and len(selected) > 1:
-            batch = self.measure_components(
-                [
-                    ComponentSpec(
-                        name=spec.label,
-                        sources=tuple(load_sources(spec)),
-                        top=spec.top,
-                        policy=policy,
-                    )
-                    for spec in selected
-                ],
-                strict=True,
-            )
-            return {
-                spec.label: batch.results[spec.label].unwrap()
+        batch = self.measure_components(
+            [
+                ComponentSpec(
+                    name=spec.label,
+                    sources=tuple(load_sources(spec)),
+                    top=spec.top,
+                    policy=policy,
+                )
                 for spec in selected
-            }
-        out: dict[str, ComponentMeasurement] = {}
-        for spec in selected:
-            out[spec.label] = self.measure_component(
-                load_sources(spec), spec.top, name=spec.label, policy=policy,
-            )
-        return out
+            ],
+            strict=True,
+        )
+        return {
+            spec.label: batch.results[spec.label].unwrap() for spec in selected
+        }
 
     # -- lint ------------------------------------------------------------------
 

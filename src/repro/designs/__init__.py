@@ -7,8 +7,9 @@ out-of-order cores (verbose Verilog-95 with explicit replication), and the
 two RAT rename units (compact Verilog-2001 with generate).
 
 :mod:`repro.designs.catalog` lists every design and component with its
-reported effort; :mod:`repro.designs.loader` parses and measures them
-through the full uComplexity flow.
+reported effort; :mod:`repro.designs.loader` reads their RTL and turns
+their measurements (:meth:`repro.core.engine.Engine.measure_catalog`)
+into an effort dataset.
 """
 
 from repro.designs.catalog import (
@@ -17,7 +18,7 @@ from repro.designs.catalog import (
     DesignSpec,
     component_specs,
 )
-from repro.designs.loader import load_sources, measure_catalog, measured_dataset
+from repro.designs.loader import load_sources, measured_dataset
 
 __all__ = [
     "CATALOG",
@@ -25,6 +26,5 @@ __all__ = [
     "DesignSpec",
     "component_specs",
     "load_sources",
-    "measure_catalog",
     "measured_dataset",
 ]

@@ -15,7 +15,8 @@ without chasing keyword arguments through the stack:
   ``max_task_kills`` / ``max_retries``, at which point it is *poison* and
   quarantined as a structured diagnostic instead of retrying forever.
 * **Memory ceilings** -- ``memory_limit_mb`` applies
-  ``resource.setrlimit(RLIMIT_AS)`` in each worker, converting a runaway
+  ``resource.setrlimit(RLIMIT_AS)`` in each worker, as headroom above the
+  address space the worker starts with, converting a runaway
   allocation into a contained ``MemoryError`` (soft failure) or, at
   worst, a worker death the supervisor absorbs -- never pool collapse.
 * **Signals** -- ``handle_signals`` opts the run into SIGINT/SIGTERM
@@ -62,8 +63,8 @@ class SupervisionPolicy:
     backoff_jitter: float = 0.5
     #: Seed for the jitter RNG -- supervision schedules are reproducible.
     seed: int = 0
-    #: Per-worker address-space ceiling (``RLIMIT_AS``) in MiB; ``None``
-    #: leaves the OS limits untouched.
+    #: Per-worker address-space headroom (``RLIMIT_AS``) in MiB, above the
+    #: worker's size at start; ``None`` leaves the OS limits untouched.
     memory_limit_mb: int | None = None
     #: Worker respawns allowed across the run before the supervisor stops
     #: replacing killed workers; ``None`` means ``4 + 2 * jobs``.

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing as mp
+import os
 import pickle
 import time
 from collections import deque
@@ -126,16 +127,23 @@ def using_context(context: WorkerContext | None) -> Iterator[None]:
 
 
 def apply_memory_limit(limit_mb: int) -> bool:
-    """Cap this process's address space at ``limit_mb`` MiB.
+    """Cap this process's address space at ``limit_mb`` MiB of headroom.
 
-    Returns False (instead of raising) on platforms without ``resource``
-    or where the limit cannot be lowered -- the ceiling is an extra guard
-    rail, not a correctness requirement.
+    The ceiling is the current address space (``VmSize`` from
+    ``/proc/self/statm``) plus ``limit_mb`` MiB, so a worker forked from a
+    large parent starts with the same budget as one forked from a small
+    parent instead of starting over it.  Returns False (instead of
+    raising) where the current size cannot be read, on platforms without
+    ``resource``, or where the limit cannot be lowered -- the ceiling is
+    an extra guard rail, not a correctness requirement.
     """
     try:
         import resource
 
-        limit = int(limit_mb) * 1024 * 1024
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            pages = int(statm.read().split()[0])
+        current = pages * os.sysconf("SC_PAGE_SIZE")
+        limit = current + int(limit_mb) * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         return True
     except Exception:  # noqa: BLE001 -- best-effort on exotic platforms

@@ -8,7 +8,7 @@ Two generators, one idea: produce inputs whose correct answers are known
   Verilog-2001 and VHDL modules with closed-form ``LoC``/``Stmts``/
   ``Nets``/``Cells``/``FFs``/``FanInLC``;
 * :mod:`repro.gen.oracle` — the differential oracle over
-  ``measure_components``;
+  ``Engine.measure_components``;
 * :mod:`repro.gen.recovery` — effort-model parameter-recovery studies
   (weight bias + bootstrap-CI coverage for all three fitters);
 * :mod:`repro.gen.selftest` — the orchestrated ``repro selftest``

@@ -2,10 +2,10 @@
 
 Every generated module carries the metric vector it *must* measure as
 (see :mod:`repro.gen.hdlgen`).  The oracle pushes a corpus through
-``measure_components`` — the same batch entry point the CLI uses, so the
-parallel and cache layers are exercised too — and demands an exact match
-on every integer-valued metric.  Any deviation is reported with the tile
-recipe that produced it, which localizes regressions to a specific
+``Engine.measure_components`` — the same batch entry point the CLI uses,
+so the parallel and cache layers are exercised too — and demands an exact
+match on every integer-valued metric.  Any deviation is reported with the
+tile recipe that produced it, which localizes regressions to a specific
 lexer/parser/elaborator/synthesis rule.
 """
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.workflow import ComponentSpec, measure_components
+from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.gen.hdlgen import GeneratedModule
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,7 +82,9 @@ def run_differential_oracle(
     cache: "SynthesisCache | None" = None,
 ) -> OracleReport:
     """Measure a corpus and compare each module against its ground truth."""
-    batch = measure_components(corpus_specs(modules), jobs=jobs, cache=cache)
+    batch = Engine(cache=cache, jobs=jobs).measure_components(
+        corpus_specs(modules)
+    )
     measured = {name: m.metrics for name, m in batch.measurements.items()}
 
     mismatches: list[OracleMismatch] = []

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.cache import SynthesisCache
-from repro.core.workflow import measure_components
+from repro.core.engine import Engine
 from repro.gen.hdlgen import generate_corpus
 from repro.gen.oracle import run_differential_oracle
 from repro.gen.recovery import RecoveryStudy, run_recovery_study
@@ -88,16 +88,15 @@ class SelfTestReport:
 
 def _roundtrip_check(modules: "list[GeneratedModule]") -> CheckResult:
     """Print each parsed design back to Verilog and re-measure."""
-    from repro.core.workflow import measure_component
-
     keys = ("Stmts", "Nets", "Cells", "FFs", "FanInLC")
     bad: list[str] = []
+    engine = Engine()
     for gm in modules:
         try:
             printed = print_design(parse_source(gm.sources[0]))
             src = SourceFile(name=f"{gm.name}_rt.v", text=printed)
-            m = measure_component((src,), gm.name, name=gm.name,
-                                  policy=gm.spec.policy)
+            m = engine.measure_component((src,), gm.name, name=gm.name,
+                                         policy=gm.spec.policy)
         except Exception as exc:
             bad.append(f"{gm.name}: {type(exc).__name__}: {exc}")
             continue
@@ -112,8 +111,8 @@ def _roundtrip_check(modules: "list[GeneratedModule]") -> CheckResult:
 
 def _batch_metrics(modules: "list[GeneratedModule]", *, jobs: int,
                    cache: SynthesisCache | None) -> dict[str, dict]:
-    batch = measure_components([gm.spec for gm in modules],
-                               jobs=jobs, cache=cache)
+    batch = Engine(cache=cache, jobs=jobs).measure_components(
+        [gm.spec for gm in modules])
     return {name: dict(m.metrics)
             for name, m in batch.measurements.items()}
 

@@ -5,12 +5,15 @@ and within one component so are its specializations' synthesis runs.  This
 module fans both loops out over a pool of worker processes while
 preserving the sequential contracts bit for bit:
 
-* **Fault isolation.**  Workers run the same fault-tolerant entry points
-  (:mod:`repro.runtime.stages`), so a faulty component/specialization is
-  quarantined inside its worker and comes back as a structured
-  ``Result``/diagnostics -- never as a pool-crashing exception.  Strict
-  mode re-raises in the parent (``HdlError`` pickles faithfully, so the
-  re-raised exception carries the same file/line/hint).
+* **Fault isolation.**  Workers run the one fault-tolerant pipeline
+  (:meth:`Engine.measure_component_safe
+  <repro.core.engine.Engine.measure_component_safe>` per component, a
+  :class:`~repro.runtime.stages.StageBoundary` per specialization), so a
+  faulty component/specialization is quarantined inside its worker and
+  comes back as a structured ``Result``/diagnostics -- never as a
+  pool-crashing exception.  Strict mode re-raises in the parent
+  (``HdlError`` pickles faithfully, so the re-raised exception carries
+  the same file/line/hint).
 * **Supervision.**  Every pool is a :class:`repro.exec.Supervisor`:
   per-task deadlines with hung-worker kill + respawn, bounded retry with
   exponential backoff, poison-task quarantine, optional per-worker memory
@@ -50,7 +53,7 @@ from repro.exec import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.diagnostics import Diagnostic, Result, render_report
+from repro.runtime.diagnostics import Diagnostic, Result
 
 __all__ = [
     "TaskOutcome",
@@ -80,10 +83,7 @@ _NAMESPACE_COUNTER = itertools.count()
 #: Modules each task family imports eagerly at worker startup so the
 #: first attempt pays no import cost (irrelevant under ``fork``, which
 #: inherits the parent's modules, but real on spawn platforms).
-_MEASURE_PRELOAD = ("repro.core.workflow",)
-_SYNTH_PRELOAD = (
-    "repro.elab.elaborator", "repro.synth.lower", "repro.synth.report",
-)
+_MEASURE_PRELOAD = ("repro.core.engine",)
 _LINT_PRELOAD = ("repro.lint.engine",)
 
 
@@ -98,16 +98,15 @@ def _measure_task(payload: tuple) -> TaskOutcome:
     spec = ctx["blobs"].get(spec_ref)
     strict, cache, lint = ctx["strict"], ctx["cache"], ctx["lint"]
     namespace = f"{ctx['run_ns']}.w{index}"
-    from repro.core.workflow import measure_component_safe
+    from repro.core.engine import Engine
 
     def run():
-        result = measure_component_safe(
-            list(spec.sources),
+        result = Engine(cache=cache).measure_component_safe(
+            spec.sources,
             spec.top,
             name=spec.name,
             policy=spec.policy,
             strict=strict,
-            cache=cache,
             lint=lint,
         )
         return result, ()
@@ -125,30 +124,12 @@ def _synthesize_task(payload: tuple) -> TaskOutcome:
     index, module, params = payload
     ctx = require_worker_context()
     design = ctx["blobs"].get(ctx["design_ref"])
-    label, safe, strict = ctx["label"], ctx["safe"], ctx["strict"]
+    label, strict = ctx["label"], ctx["strict"]
     namespace = f"{ctx['run_ns']}.w{index}"
-    from repro.elab.elaborator import elaborate
-    from repro.runtime.stages import StageBoundary
-    from repro.synth.lower import synthesize_module
-    from repro.synth.report import synthesis_metrics
-
-    def _synth():
-        sub = elaborate(design, module, params)
-        return synthesis_metrics(synthesize_module(sub), sub, design)
+    from repro.core.engine import synthesize_specialization
 
     def run():
-        if safe:
-            boundary = StageBoundary(component=label, strict=strict)
-            report = boundary.run("synthesize", _synth)
-            return report, tuple(boundary.diagnostics)
-        # Raising path: mirror measure_component's span + histogram.
-        with obs_trace.span("measure.specialization", module=module) as sp:
-            report = _synth()
-        if sp.wall_s is not None:
-            obs_metrics.histogram("measure.specialization_wall_s").observe(
-                sp.wall_s
-            )
-        return report, ()
+        return synthesize_specialization(design, module, params, label, strict)
 
     return run_traced_task(run, namespace, ctx["capture_trace"])
 
@@ -271,17 +252,20 @@ def synthesis_task_key(
     source_texts: Sequence[str],
     module: str,
     params: Mapping[str, int],
-    safe: bool,
     strict: bool,
 ) -> str:
-    """Content-addressed journal key of one specialization-synthesis task."""
+    """Content-addressed journal key of one specialization-synthesis task.
+
+    The constant ``safe=True`` part is kept from when a second, raising
+    synthesis path existed, so journals written back then still resume.
+    """
     from repro.cache import SALT
 
     parts = [
         SALT,
         "synthesis-task",
         module,
-        f"safe={bool(safe)}",
+        "safe=True",
         f"strict={bool(strict)}",
     ]
     parts.extend(f"{name}={int(value)}" for name, value in sorted(params.items()))
@@ -300,14 +284,17 @@ def measure_components_parallel(
     lint: bool = False,
     supervision: SupervisionPolicy | None = None,
     journal: "RunJournal | str | None" = None,
-):
-    """Measure a batch of components across a supervised process pool.
+) -> dict[str, Result]:
+    """Measure components across a supervised process pool.
 
-    The parallel twin of :func:`repro.core.workflow.measure_components`
-    (which delegates here for ``jobs > 1``): same result dict, same
-    per-component quarantine, same diagnostics -- only wall-clock differs.
-    Worker counters merge on join; with an active tracer, worker span trees
-    are grafted under namespaced ids below the ``measure.batch`` span.
+    The pool path of :meth:`repro.core.engine.Engine.measure_components`,
+    which probes and stores the whole-component measurement memo itself
+    and hands only the misses here.  Returns component name -> result in
+    ``specs`` order: the same results and diagnostics as the inline path,
+    only wall-clock differs.  ``cache`` reaches the workers, which use it
+    for per-specialization synthesis products.  Worker counters merge on
+    join; with an active tracer, worker span trees are grafted under
+    namespaced ids below the ``measure.batch`` span.
 
     A component whose task is quarantined by the supervisor (it repeatedly
     hung, crashed, or OOM-killed its worker) comes back as a failed
@@ -315,87 +302,52 @@ def measure_components_parallel(
     batch is unaffected.  With ``journal``, completed components are
     appended as they finish and an interrupted run resumes from the file.
     """
-    from repro.core.workflow import BatchMeasurement
-
     capture_trace = obs_trace.active() is not None
     run_ns = _next_namespace("b")
     journal = RunJournal.open(journal)
     results: dict[str, Result] = {}
-    memo_key: dict[str, str] = {}
-    with obs_trace.span("measure.batch", components=len(specs), jobs=jobs):
-        # Cache-aware dispatch: a component whose finished measurement is
-        # already memoized (same sources/top/policy/flags, same pipeline
-        # salt) is resolved here in the parent; the pool only ever sees
-        # the misses.  A fully-warm run dispatches zero tasks.
-        pending = []
-        for spec in specs:
-            if cache is not None:
-                memo_key[spec.name] = cache.measurement_key(spec, strict, lint)
-                hit = cache.load_measurement(memo_key[spec.name])
-                if hit is not None:
-                    results[spec.name] = hit
-                    continue
-            pending.append(spec)
-        errors: list[BaseException] = []
-        if pending:
-            with BlobStore.create() as blobs:
-                context = WorkerContext(
-                    values={
-                        "blobs": blobs, "strict": strict, "cache": cache,
-                        "lint": lint, "capture_trace": capture_trace,
-                        "run_ns": run_ns,
-                    },
-                    preload=_MEASURE_PRELOAD,
+    errors: list[BaseException] = []
+    with obs_trace.span("measure.batch", components=len(specs), jobs=jobs), \
+            BlobStore.create() as blobs:
+        context = WorkerContext(
+            values={
+                "blobs": blobs, "strict": strict, "cache": cache,
+                "lint": lint, "capture_trace": capture_trace,
+                "run_ns": run_ns,
+            },
+            preload=_MEASURE_PRELOAD,
+        )
+        payloads = [(i, blobs.put(spec)) for i, spec in enumerate(specs)]
+        keys = (
+            [measure_task_key(spec, strict, lint) for spec in specs]
+            if journal is not None
+            else None
+        )
+        outcomes = Supervisor(jobs, supervision).run(
+            _measure_task, payloads,
+            labels=[spec.name for spec in specs], keys=keys, journal=journal,
+            namespaces=[f"{run_ns}.w{i}" for i in range(len(specs))],
+            context=context,
+        )
+        for spec, outcome in zip(specs, outcomes):
+            mapping = merge_worker_telemetry(outcome)
+            if outcome.error is not None:
+                errors.append(outcome.error)
+            elif outcome.value is None:
+                # Supervisor quarantine: structured failure, no measurement.
+                results[spec.name] = Result(
+                    None, remap_span_ids(outcome.diagnostics, mapping)
                 )
-                payloads = [
-                    (i, blobs.put(spec)) for i, spec in enumerate(pending)
-                ]
-                labels = [spec.name for spec in pending]
-                keys = (
-                    [measure_task_key(spec, strict, lint) for spec in pending]
-                    if journal is not None
-                    else None
+            else:
+                results[spec.name] = Result(
+                    outcome.value.value,
+                    remap_span_ids(outcome.value.diagnostics, mapping),
                 )
-                outcomes = Supervisor(jobs, supervision).run(
-                    _measure_task, payloads,
-                    labels=labels, keys=keys, journal=journal,
-                    namespaces=[
-                        f"{run_ns}.w{i}" for i in range(len(pending))
-                    ],
-                    context=context,
-                )
-                for spec, outcome in zip(pending, outcomes):
-                    mapping = merge_worker_telemetry(outcome)
-                    if outcome.error is not None:
-                        errors.append(outcome.error)
-                        continue
-                    if outcome.value is None:
-                        # Supervisor quarantine: structured failure, no
-                        # measurement.
-                        results[spec.name] = Result(
-                            None, remap_span_ids(outcome.diagnostics, mapping)
-                        )
-                        continue
-                    result = outcome.value
-                    results[spec.name] = Result(
-                        result.value,
-                        remap_span_ids(result.diagnostics, mapping),
-                    )
-                    if cache is not None:
-                        # Memoize pristine measurements for the next run's
-                        # cache-aware dispatch (degraded results are never
-                        # stored -- store_measurement refuses them).
-                        cache.store_measurement(
-                            memo_key[spec.name], results[spec.name]
-                        )
-        if errors:
-            # Only strict mode lets exceptions out of a worker; re-raise
-            # the first in batch order, matching sequential fail-fast.
-            raise errors[0]
-    # Memo hits were resolved before the dispatch loop; re-key the dict in
-    # specs order so batch iteration matches the sequential path exactly.
-    results = {s.name: results[s.name] for s in specs if s.name in results}
-    return BatchMeasurement(results=results)
+    if errors:
+        # Only strict mode lets exceptions out of a worker; re-raise the
+        # first in batch order, matching sequential fail-fast.
+        raise errors[0]
+    return results
 
 
 def lint_modules_parallel(
@@ -459,7 +411,6 @@ def synthesize_specializations(
     work: Sequence[tuple[str, Mapping[str, int]]],
     label: str,
     jobs: int,
-    safe: bool,
     strict: bool = False,
     supervision: SupervisionPolicy | None = None,
     journal: "RunJournal | str | None" = None,
@@ -472,7 +423,8 @@ def synthesize_specializations(
     Telemetry is merged and diagnostic span ids are remapped before return,
     so callers only look at ``value``/``error``/``diagnostics``.  A
     quarantined specialization comes back with ``value=None`` and the
-    supervisor's stage-``"exec"`` diagnostic.  ``journal`` (requires
+    supervisor's stage-``"exec"`` diagnostic (which the engine raises as
+    a ``RuntimeError`` in strict mode).  ``journal`` (requires
     ``source_texts`` for content-addressed keys) lets an interrupted
     specialization sweep resume.
     """
@@ -483,7 +435,7 @@ def synthesize_specializations(
     keys = None
     if journal is not None and source_texts is not None:
         keys = [
-            synthesis_task_key(source_texts, module, params, safe, strict)
+            synthesis_task_key(source_texts, module, params, strict)
             for module, params in work
         ]
     merged: list[TaskOutcome] = []
@@ -493,10 +445,10 @@ def synthesize_specializations(
         context = WorkerContext(
             values={
                 "blobs": blobs, "design_ref": blobs.put(design),
-                "label": label, "safe": safe, "strict": strict,
+                "label": label, "strict": strict,
                 "capture_trace": capture_trace, "run_ns": run_ns,
             },
-            preload=_SYNTH_PRELOAD,
+            preload=_MEASURE_PRELOAD,
         )
         payloads = [
             (i, module, dict(params))
@@ -520,22 +472,3 @@ def synthesize_specializations(
             )
     return merged
 
-
-def quarantined_to_error(outcome: TaskOutcome) -> TaskOutcome:
-    """Convert a supervisor quarantine into a raising outcome.
-
-    The raising (non-safe) callers treat ``error`` as "re-raise in the
-    parent"; a quarantine has no exception object, so wrap its report in
-    a RuntimeError for them.
-    """
-    if outcome.value is not None or outcome.error is not None:
-        return outcome
-    return TaskOutcome(
-        value=None,
-        error=RuntimeError(
-            "task quarantined by the supervisor:\n"
-            + render_report(list(outcome.diagnostics))
-        ),
-        diagnostics=outcome.diagnostics,
-        telemetry=outcome.telemetry,
-    )

@@ -1,26 +1,29 @@
 """Refactor-equivalence suite for :class:`repro.core.engine.Engine`.
 
-The Engine refactor moved the pipeline entry points from free functions
-into a long-lived object so the CLI and the serve daemon share one code
-path.  These tests pin the contract: going through an Engine -- any
-combination of cache, jobs, and pool forcing -- produces results
+The pipeline entry points used to be per-call free functions; they now
+live on one long-lived object so the CLI and the serve daemon share one
+code path, and strict measurement is the fault-tolerant pipeline with
+``strict=True``.  These tests pin the contract: going through an Engine
+-- any combination of cache, jobs, and pool forcing -- produces results
 byte-identical (``pickle.dumps``) to the original per-call functions,
-quarantined components included.
+quarantined components included.  The free functions are gone, so their
+side of each comparison is frozen as the sha256 of what they returned
+(``pickle.dumps(..., protocol=4)``), recorded before their removal.
 """
 
 import pickle
 
+import pytest
+
 from repro.cache import SynthesisCache
 from repro.core.engine import Engine
-from repro.core.workflow import (
-    ComponentSpec,
-    measure_component,
-    measure_component_safe,
-    measure_components,
-)
-from repro.designs.loader import load_sources, measure_catalog
+from repro.core.workflow import ComponentSpec
+from repro.designs.loader import load_sources
+from repro.exec import SupervisionPolicy
 from repro.hdl.source import SourceFile
+from repro.parallel import synthesis_task_key
 from repro.runtime.faultinject import truncate_source
+from tests.core.test_golden_measure import INLINE, digest
 
 _ADDER = SourceFile(
     "adder.v",
@@ -43,6 +46,23 @@ _MUX = SourceFile(
 )
 
 
+#: Two specializations, so ``jobs > 1`` synthesizes them in the pool.
+_HIER = SourceFile(
+    "hier.v",
+    """
+    module leaf(input [3:0] a, output [3:0] y);
+      assign y = ~a;
+    endmodule
+
+    module top_adder(input [3:0] a, b, output [3:0] s);
+      wire [3:0] na;
+      leaf u0 (.a(a), .y(na));
+      assign s = na + b;
+    endmodule
+    """,
+)
+
+
 def _specs():
     return [
         ComponentSpec("adder", (_ADDER,), "top_adder"),
@@ -53,6 +73,25 @@ def _specs():
     ]
 
 
+#: Frozen outputs of the removed free functions.
+_FREE_FUNCTION = {
+    "measure_component(adder)":
+        "d89d20fdbb7e024a70546a6bfbacf0258827925cbbef9987e6b2edd59c2379f3",
+    "measure_component_safe(adder)":
+        "7164db7e1e7be562fba5d055dee00b8fc37fcb1b789255af9a989127c405be82",
+    "measure_component_safe(corrupt adder)":
+        "8fb6544907ef20d5c9fe23d680428943d0ddb1f07770724111456fc885edf18c",
+    "measure_components(cache)": {
+        "adder":
+            "7eba185345028b1635d65b2447b1ed75c701a2917a691f80ddb51bee1385686b",
+        "mux":
+            "0cbeec42824d838c77e10b667014b3cf484ceef7d16b559a554d56bd686bfdf6",
+        "corrupt":
+            "bc2afcccd448a60d5acc11faa364e8a79137e03364a4b9a5eefa7c677851ffbc",
+    },
+}
+
+
 def _same_batch(reference, candidate):
     assert list(candidate.results) == list(reference.results)
     for name, result in reference.results.items():
@@ -61,25 +100,28 @@ def _same_batch(reference, candidate):
 
 class TestEngineEquivalence:
     def test_measure_component_matches_free_function(self):
-        via_function = measure_component([_ADDER], "top_adder", name="adder")
         via_engine = Engine().measure_component(
             [_ADDER], "top_adder", name="adder"
         )
-        assert pickle.dumps(via_engine) == pickle.dumps(via_function)
+        assert digest(via_engine) == _FREE_FUNCTION["measure_component(adder)"]
 
     def test_measure_component_safe_matches_free_function(self):
         corrupt = truncate_source(_ADDER, 0.5)
-        for sources, top in ([_ADDER], "top_adder"), ([corrupt], "top_adder"):
-            via_function = measure_component_safe(list(sources), top)
-            via_engine = Engine().measure_component_safe(list(sources), top)
-            assert pickle.dumps(via_engine) == pickle.dumps(via_function)
+        for sources, label in (
+            ([_ADDER], "adder"), ([corrupt], "corrupt adder"),
+        ):
+            via_engine = Engine().measure_component_safe(sources, "top_adder")
+            assert digest(via_engine) == _FREE_FUNCTION[
+                f"measure_component_safe({label})"
+            ]
 
     def test_measure_components_sequential_matches(self, tmp_path):
-        via_function = measure_components(
-            _specs(), cache=SynthesisCache(tmp_path / "a")
-        )
-        engine = Engine(cache=SynthesisCache(tmp_path / "b"))
-        _same_batch(via_function, engine.measure_components(_specs()))
+        engine = Engine(cache=SynthesisCache(tmp_path / "cache"))
+        batch = engine.measure_components(_specs())
+        assert {
+            name: digest(result) for name, result in batch.results.items()
+        } == _FREE_FUNCTION["measure_components(cache)"]
+        assert list(batch.results) == [spec.name for spec in _specs()]
 
     def test_measure_components_pool_matches_sequential(self, tmp_path):
         sequential = Engine().measure_components(_specs())
@@ -101,13 +143,17 @@ class TestEngineEquivalence:
         _same_batch(cold, warm)
 
     def test_measure_catalog_matches_loader(self, tmp_path):
-        via_loader = measure_catalog(designs=("PUMA",))
+        # The loader's catalog measurement was the strict per-component
+        # measure, whose outputs test_golden_measure pins.
         via_engine = Engine(
             cache=SynthesisCache(tmp_path / "cache")
         ).measure_catalog(designs=("PUMA",))
-        assert list(via_engine) == list(via_loader)
-        for label, measurement in via_loader.items():
-            assert pickle.dumps(via_engine[label]) == pickle.dumps(measurement)
+        assert list(via_engine) == [
+            "PUMA-Fetch", "PUMA-Decode", "PUMA-ROB", "PUMA-Execute",
+            "PUMA-Memory",
+        ]
+        for label, measurement in via_engine.items():
+            assert digest(measurement) == INLINE[label]
 
     def test_measure_catalog_matches_per_component_measures(self):
         from repro.designs.catalog import component_specs
@@ -116,7 +162,7 @@ class TestEngineEquivalence:
         for spec in component_specs():
             if spec.design != "PUMA":
                 continue
-            direct = measure_component(
+            direct = Engine().measure_component(
                 load_sources(spec), spec.top, name=spec.label
             )
             assert pickle.dumps(via_engine[spec.label]) == pickle.dumps(direct)
@@ -141,3 +187,30 @@ class TestEngineEquivalence:
         )
         assert again is first
         assert engine.stats()["cached_fits"] == 1
+
+
+class TestStrictQuarantine:
+    def test_synthesis_task_key_is_unchanged(self):
+        # A journal written while the key still took a ``safe`` flag
+        # (always True on the surviving path) must keep resuming.
+        assert synthesis_task_key(
+            ["module m; endmodule"], "m", {"W": 2}, strict=False
+        ) == "2139b7d45c2953179ba3e0a8a9a808d403cf0ca403f623875d52e5d351cc31cf"
+
+    @pytest.mark.chaos
+    def test_strict_raises_on_supervisor_quarantine(self):
+        policy = SupervisionPolicy(
+            poll_interval_s=0.05, chaos={"adder:leaf": ("kill",)},
+        )
+        engine = Engine(jobs=2, supervision=policy)
+        degraded = engine.measure_component_safe(
+            [_HIER], "top_adder", name="adder"
+        )
+        assert degraded.degraded
+        assert "exec" in {d.stage for d in degraded.diagnostics}
+        with pytest.raises(
+            RuntimeError, match="task quarantined by the supervisor"
+        ):
+            engine.measure_component_safe(
+                [_HIER], "top_adder", name="adder", strict=True
+            )

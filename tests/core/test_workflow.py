@@ -3,15 +3,12 @@
 import pytest
 
 from repro.core.accounting import AccountingPolicy
-from repro.core.workflow import (
-    ComponentSpec,
-    measure_component,
-    measure_component_safe,
-    measure_components,
-    parse_component,
-)
+from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.hdl.source import HdlSyntaxError, SourceFile
 from repro.runtime.diagnostics import Severity
+
+ENGINE = Engine()
 
 _HIER = SourceFile(
     "hier.v",
@@ -41,7 +38,7 @@ class TestMeasureComponent:
     def test_metrics_complete(self):
         from repro.flow.metrics import FLOW_METRIC_NAMES
 
-        m = measure_component([_HIER], "top")
+        m = ENGINE.measure_component([_HIER], "top")
         expected = {
             "LoC", "Stmts", "FanInLC", "Nets", "Cells", "AreaL", "AreaS",
             "PowerD", "PowerS", "Freq", "FFs",
@@ -49,20 +46,20 @@ class TestMeasureComponent:
         assert set(m.metrics) == expected
 
     def test_accounting_counts_leaf_once(self):
-        m = measure_component([_HIER], "top")
+        m = ENGINE.measure_component([_HIER], "top")
         modules = [name for name, _ in m.specializations]
         assert modules.count("leaf") == 1
         assert modules.count("top") == 1
 
     def test_accounting_minimizes_parameters(self):
-        m = measure_component([_HIER], "top")
+        m = ENGINE.measure_component([_HIER], "top")
         leaf_params = next(
             dict(params) for name, params in m.specializations if name == "leaf"
         )
         assert leaf_params["W"] == 2  # the i=1..W-1 chain needs W >= 2
 
     def test_disabled_policy_counts_every_instance(self):
-        m = measure_component(
+        m = ENGINE.measure_component(
             [_HIER], "top", policy=AccountingPolicy.disabled()
         )
         modules = [name for name, _ in m.specializations]
@@ -73,8 +70,8 @@ class TestMeasureComponent:
         assert all(p["W"] == 8 for p in leaf_params)
 
     def test_ffs_multiply_without_accounting(self):
-        with_acct = measure_component([_HIER], "top")
-        without = measure_component(
+        with_acct = ENGINE.measure_component([_HIER], "top")
+        without = ENGINE.measure_component(
             [_HIER], "top", policy=AccountingPolicy.disabled()
         )
         # 3 instances x 8 FFs vs 1 instance x 2 FFs (minimized width).
@@ -82,13 +79,15 @@ class TestMeasureComponent:
         assert with_acct.metrics["FFs"] == 2
 
     def test_software_metrics_policy_independent(self):
-        a = measure_component([_HIER], "top")
-        b = measure_component([_HIER], "top", policy=AccountingPolicy.disabled())
+        a = ENGINE.measure_component([_HIER], "top")
+        b = ENGINE.measure_component(
+            [_HIER], "top", policy=AccountingPolicy.disabled()
+        )
         assert a.metrics["LoC"] == b.metrics["LoC"]
         assert a.metrics["Stmts"] == b.metrics["Stmts"]
 
     def test_identical_specs_synthesized_once(self):
-        m = measure_component(
+        m = ENGINE.measure_component(
             [_HIER], "top", policy=AccountingPolicy.disabled()
         )
         # Three identical leaf instances share one synthesis report.
@@ -97,11 +96,11 @@ class TestMeasureComponent:
     def test_parse_component_merges_files(self):
         a = SourceFile("a.v", "module a(input x); endmodule")
         b = SourceFile("b.v", "module b(input x); a u0 (.x(x)); endmodule")
-        design = parse_component([a, b])
-        assert set(design.modules) == {"a", "b"}
+        m = ENGINE.measure_component([a, b], "b")
+        assert {name for name, _ in m.specializations} == {"a", "b"}
 
     def test_freq_is_minimum_across_modules(self):
-        m = measure_component([_HIER], "top")
+        m = ENGINE.measure_component([_HIER], "top")
         freqs = [rep.metrics()["Freq"] for rep in m.reports.values()]
         assert m.metrics["Freq"] == min(freqs)
 
@@ -120,12 +119,12 @@ _GHOST_TOP = SourceFile(
 
 class TestMeasureComponentSafe:
     def test_clean_matches_fail_fast_path(self):
-        safe = measure_component_safe([_HIER], "top")
+        safe = ENGINE.measure_component_safe([_HIER], "top")
         assert safe.ok and not safe.diagnostics
-        assert safe.value.metrics == measure_component([_HIER], "top").metrics
+        assert safe.value.metrics == ENGINE.measure_component([_HIER], "top").metrics
 
     def test_broken_file_quarantined(self):
-        result = measure_component_safe([_HIER, _BROKEN], "top")
+        result = ENGINE.measure_component_safe([_HIER, _BROKEN], "top")
         assert result.degraded
         assert result.value.metrics["FFs"] == 2  # synthesis still ran
         (diag,) = result.diagnostics
@@ -135,13 +134,13 @@ class TestMeasureComponentSafe:
         assert diag.hint
 
     def test_nothing_parseable_is_fatal(self):
-        result = measure_component_safe([_BROKEN], "top")
+        result = ENGINE.measure_component_safe([_BROKEN], "top")
         assert result.failed
         assert result.severity is Severity.FATAL
         assert any("no source file parsed" in d.message for d in result.diagnostics)
 
     def test_elaboration_failure_keeps_software_metrics(self):
-        result = measure_component_safe([_GHOST_TOP], "ghost_top")
+        result = ENGINE.measure_component_safe([_GHOST_TOP], "ghost_top")
         assert result.degraded
         assert "LoC" in result.value.metrics
         assert "Cells" not in result.value.metrics
@@ -150,12 +149,12 @@ class TestMeasureComponentSafe:
 
     def test_strict_reraises(self):
         with pytest.raises(HdlSyntaxError):
-            measure_component_safe([_BROKEN], "top", strict=True)
+            ENGINE.measure_component_safe([_BROKEN], "top", strict=True)
 
 
 class TestMeasureComponents:
     def test_batch_isolates_faulty_component(self):
-        batch = measure_components(
+        batch = ENGINE.measure_components(
             [
                 ComponentSpec("good", (_HIER,), "top"),
                 ComponentSpec("bad", (_BROKEN,), "broken"),
@@ -168,6 +167,8 @@ class TestMeasureComponents:
         assert "fatal" in batch.report()
 
     def test_all_clean_batch_is_ok(self):
-        batch = measure_components([ComponentSpec("good", (_HIER,), "top")])
+        batch = ENGINE.measure_components(
+            [ComponentSpec("good", (_HIER,), "top")]
+        )
         assert batch.ok and not batch.degraded
         assert batch.report() == "no diagnostics"

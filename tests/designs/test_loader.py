@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.accounting import AccountingPolicy
 from repro.designs.catalog import CATALOG, component_specs
-from repro.designs.loader import load_sources, measure_catalog, measured_dataset
-from repro.core.workflow import measure_component
+from repro.core.engine import Engine
+from repro.designs.loader import load_sources, measured_dataset
 
 from repro.flow.metrics import FLOW_METRIC_NAMES
 
@@ -30,7 +30,9 @@ class TestEveryComponentMeasures:
         "spec", component_specs(), ids=lambda s: s.label
     )
     def test_component_full_pipeline(self, spec):
-        m = measure_component(load_sources(spec), spec.top, name=spec.label)
+        m = Engine().measure_component(
+            load_sources(spec), spec.top, name=spec.label
+        )
         assert set(m.metrics) == ALL_METRIC_KEYS
         assert m.metrics["LoC"] > 0
         assert m.metrics["Stmts"] > 0

@@ -15,19 +15,26 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.workflow import parse_component
 from repro.designs.catalog import component_specs
 from repro.designs.loader import load_sources
 from repro.elab import ElaborationError, elaborate, minimal_parameters
 from repro.elab.degeneracy import degeneracy_events
 from repro.gen.hdlgen import generate_module
-from repro.hdl import ast, parse_verilog
+from repro.hdl import ast, parse_source, parse_verilog
 from repro.hdl.source import VERILOG, VHDL, SourceFile
 from repro.obs import metrics as obs_metrics
 
 
 def _design(text: str) -> ast.Design:
     return parse_verilog(SourceFile("t.v", text))
+
+
+def _parse(sources) -> ast.Design:
+    """One merged design from a component's files, as measurement builds it."""
+    design = ast.Design()
+    for source in sources:
+        design = design.merge(parse_source(source))
+    return design
 
 
 def _no_memo(patch) -> None:
@@ -43,7 +50,7 @@ def _answer(design: ast.Design, module: str):
 def _reference_answers(sources, modules, monkeypatch):
     with monkeypatch.context() as patch:
         _no_memo(patch)
-        fresh = parse_component(list(sources))
+        fresh = _parse(sources)
         return {m: _answer(fresh, m) for m in modules}
 
 
@@ -52,7 +59,7 @@ def test_bundled_minimal_parameters_match_memo_free_reference(monkeypatch):
     parameterized = 0
     for spec in component_specs():
         sources = load_sources(spec)
-        design = parse_component(sources)
+        design = _parse(sources)
         # Warm the memo the way measurement does: the top elaboration
         # first, then every module's search sharing one design.
         elaborate(design, spec.top)
@@ -83,7 +90,7 @@ def test_generated_param_tiles_match_memo_free_reference(
     parameterized = 0
     for i, kinds in enumerate(pools):
         gm = generate_module(language, f"pw{i}", rng, n_tiles=3, kinds=kinds)
-        design = parse_component(list(gm.sources))
+        design = _parse(gm.sources)
         parameterized += any(m.params for m in design.modules.values())
         memoized = {m: _answer(design, m) for m in design.modules}
         reference = _reference_answers(

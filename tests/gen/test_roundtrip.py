@@ -9,7 +9,7 @@ required -- the suite is complete without it.
 import numpy as np
 import pytest
 
-from repro.core.workflow import measure_component
+from repro.core.engine import Engine
 from repro.gen import generate_corpus, generate_module
 from repro.hdl import count_statements, parse_source
 from repro.hdl.printer import PrintError, print_design, print_expr
@@ -40,7 +40,7 @@ def test_roundtrip_preserves_metrics(language):
             assert count_statements(module) == \
                 count_statements(reparsed.modules[name])
         # And the synthesized netlist still matches the ground truth.
-        m = measure_component(
+        m = Engine().measure_component(
             (SourceFile(f"{gm.name}_rt.v", printed),), gm.name,
             name=gm.name, policy=gm.spec.policy)
         for key in _NETLIST_KEYS:

@@ -164,9 +164,9 @@ class TestInvalidLiteralDigits:
 
     @pytest.mark.parametrize("name, text, literal, line", _BAD_LITERALS)
     def test_measure_reports_parse_stage(self, name, text, literal, line):
-        from repro.core.workflow import measure_component_safe
+        from repro.core.engine import Engine
 
-        result = measure_component_safe([SourceFile(name, text)], top="m")
+        result = Engine().measure_component_safe([SourceFile(name, text)], top="m")
         located = [d for d in result.diagnostics if d.span is not None]
         assert len(located) == 1
         (diag,) = located

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.workflow import measure_component_safe
+from repro.core.engine import Engine
 from repro.hdl.source import SourceFile
 from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
 from repro.serve import protocol
@@ -121,7 +121,7 @@ class TestEstimateRequest:
 
 class TestMeasureResponse:
     def test_clean_result_maps_to_200(self):
-        result = measure_component_safe([_ADDER], "top_adder", name="adder")
+        result = Engine().measure_component_safe([_ADDER], "top_adder", name="adder")
         status, payload = protocol.measure_response("r1", result)
         assert status == 200
         assert payload["verdict"] == "ok"
@@ -130,7 +130,7 @@ class TestMeasureResponse:
         assert payload["component"]["metrics"]["Stmts"] > 0
 
     def test_fatal_result_maps_to_500(self):
-        result = measure_component_safe(
+        result = Engine().measure_component_safe(
             [SourceFile("x.v", "garbage(")], "nope"
         )
         status, payload = protocol.measure_response("r1", result)
@@ -142,7 +142,7 @@ class TestMeasureResponse:
     def test_strict_promotes_degraded_to_500(self):
         from repro.runtime.faultinject import truncate_source
 
-        result = measure_component_safe(
+        result = Engine().measure_component_safe(
             [_ADDER, truncate_source(_ADDER, 0.4)], "top_adder",
         )
         assert result.degraded
@@ -154,7 +154,8 @@ class TestMeasureResponse:
         assert strict_status == 500
 
     def test_payload_is_pure_function_of_result(self):
-        result = measure_component_safe([_ADDER], "top_adder", name="adder")
-        again = measure_component_safe([_ADDER], "top_adder", name="adder")
+        engine = Engine()
+        result = engine.measure_component_safe([_ADDER], "top_adder", name="adder")
+        again = engine.measure_component_safe([_ADDER], "top_adder", name="adder")
         assert protocol.encode(protocol.measure_response("r9", result)[1]) \
             == protocol.encode(protocol.measure_response("r9", again)[1])

@@ -23,7 +23,7 @@ import pytest
 from repro import obs
 from repro.cache import SynthesisCache
 from repro.core.engine import Engine
-from repro.core.workflow import measure_component_safe
+from repro.core.engine import Engine
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -87,7 +87,7 @@ def _measure_body(name: str) -> dict:
 def _expected_bytes(name: str, request_id: str) -> bytes:
     """The response bytes the CLI code path predicts for this request."""
     source, top = _COMPONENTS[name]
-    result = measure_component_safe([source], top, name=name)
+    result = Engine().measure_component_safe([source], top, name=name)
     _status, payload = protocol.measure_response(request_id, result)
     return protocol.encode(payload)
 
@@ -194,7 +194,7 @@ class TestErrorContract:
         assert payload["component"] is not None  # partial result survives
 
         # The wire diagnostics render exactly as the CLI prints them.
-        local = measure_component_safe(
+        local = Engine().measure_component_safe(
             [
                 SourceFile(_ADDER.name, _ADDER.text),
                 SourceFile("broken.v", corrupt.text),

@@ -13,7 +13,7 @@ import multiprocessing as mp
 import pytest
 
 from repro.cache import SynthesisCache
-from repro.core.workflow import measure_component_safe
+from repro.core.engine import Engine
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 
@@ -37,7 +37,7 @@ def report(tmp_path):
     """A real SynthesisReport, produced once through the actual pipeline."""
     seed_cache = SynthesisCache(tmp_path / "seed-cache")
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
-        result = measure_component_safe([_SRC], "top_alu", cache=seed_cache)
+        result = Engine(cache=seed_cache).measure_component_safe([_SRC], "top_alu")
     assert result.ok
     entries = seed_cache.entries()
     assert entries

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.core.workflow import measure_components
+from repro.core.engine import Engine
 from repro.exec import RunInterrupted, RunJournal, SupervisionPolicy
 from repro.gen import generate_corpus, corpus_specs
 from repro.gen.oracle import ORACLE_METRICS
@@ -65,7 +65,7 @@ class TestChaosCatalog:
         )
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.using(registry):
-            batch = measure_components(specs, jobs=4, supervision=policy)
+            batch = Engine(jobs=4, supervision=policy).measure_components(specs)
 
         assert set(batch.failures) == set(injured)
         _assert_exact(batch, modules, set(names) - set(injured))
@@ -98,10 +98,9 @@ class TestJournalResume:
         timer.start()
         try:
             with pytest.raises(RunInterrupted):
-                measure_components(
-                    specs, jobs=4, supervision=policy,
-                    journal=str(journal_path),
-                )
+                Engine(
+                    jobs=4, supervision=policy, journal=str(journal_path),
+                ).measure_components(specs)
         finally:
             timer.cancel()
 
@@ -110,9 +109,9 @@ class TestJournalResume:
 
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.using(registry):
-            batch = measure_components(
-                specs, jobs=4, journal=str(journal_path)
-            )
+            batch = Engine(
+                jobs=4, journal=str(journal_path)
+            ).measure_components(specs)
         counters = registry.snapshot()["counters"]
         assert counters["exec.journal_skips"] == float(done)
         assert counters["exec.dispatched"] == float(100 - done)
@@ -122,17 +121,17 @@ class TestJournalResume:
     def test_journal_keys_are_content_addressed_across_runs(self, tmp_path):
         modules, specs = _catalog()
         journal_path = tmp_path / "measure.jsonl"
-        first = measure_components(
-            specs[:60], jobs=4, journal=str(journal_path)
-        )
+        first = Engine(
+            jobs=4, journal=str(journal_path)
+        ).measure_components(specs[:60])
         assert not first.failures
         assert len(RunJournal(journal_path)) == 60
 
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.using(registry):
-            batch = measure_components(
-                specs, jobs=4, journal=str(journal_path)
-            )
+            batch = Engine(
+                jobs=4, journal=str(journal_path)
+            ).measure_components(specs)
         counters = registry.snapshot()["counters"]
         assert counters["exec.journal_skips"] == 60.0
         assert counters["exec.dispatched"] == 40.0

@@ -273,11 +273,12 @@ class TestCliExitCode:
 
     def test_run_interrupted_maps_to_130(self, tmp_path, monkeypatch, capsys):
         from repro import cli
+        from repro.core.engine import Engine
 
         def interrupted(*args, **kwargs):
             raise RunInterrupted(signal.SIGINT, 3, 10)
 
-        monkeypatch.setattr(cli, "measure_component_safe", interrupted)
+        monkeypatch.setattr(Engine, "measure_component_safe", interrupted)
         rc = cli.main(self._measure_args(tmp_path))
         assert rc == cli.EXIT_INTERRUPTED == 130
         err = capsys.readouterr().err
@@ -286,11 +287,12 @@ class TestCliExitCode:
 
     def test_keyboard_interrupt_maps_to_130(self, tmp_path, monkeypatch, capsys):
         from repro import cli
+        from repro.core.engine import Engine
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt()
 
-        monkeypatch.setattr(cli, "measure_component_safe", interrupted)
+        monkeypatch.setattr(Engine, "measure_component_safe", interrupted)
         rc = cli.main(self._measure_args(tmp_path))
         assert rc == 130
         assert "interrupted" in capsys.readouterr().err

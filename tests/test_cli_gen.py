@@ -3,7 +3,7 @@
 import json
 
 from repro.cli import EXIT_OK, main
-from repro.core.workflow import measure_component
+from repro.core.engine import Engine
 from repro.core.accounting import AccountingPolicy
 from repro.hdl.source import SourceFile
 
@@ -32,8 +32,8 @@ def test_gen_manifest_truth_is_measurable(tmp_path):
     name, entry = next(iter(manifest["modules"].items()))
     sources = tuple(
         SourceFile(f, (out / f).read_text()) for f in entry["files"])
-    m = measure_component(sources, entry["top"], name=name,
-                          policy=AccountingPolicy.disabled())
+    m = Engine().measure_component(sources, entry["top"], name=name,
+                                   policy=AccountingPolicy.disabled())
     for key, expected in entry["truth"].items():
         assert m.metrics[key] == expected
 

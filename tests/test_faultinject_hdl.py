@@ -8,11 +8,8 @@ structured diagnostic names the stage and source location).
 
 import pytest
 
-from repro.core.workflow import (
-    ComponentSpec,
-    measure_component_safe,
-    measure_components,
-)
+from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.hdl.source import SourceFile
 from repro.runtime.diagnostics import Severity
 from repro.runtime.faultinject import (
@@ -49,7 +46,7 @@ _GOOD = SourceFile(
 class TestTruncation:
     def test_truncated_source_fails_parse_with_location(self):
         bad = truncate_source(_GOOD, keep_fraction=0.5)
-        result = measure_component_safe([bad], "top")
+        result = Engine().measure_component_safe([bad], "top")
         assert result.failed
         parse = [d for d in result.diagnostics if d.stage == "parse"]
         assert parse
@@ -62,7 +59,7 @@ class TestTruncation:
         assert a.text == b.text and len(a.text) < len(_GOOD.text)
 
     def test_batch_quarantines_only_truncated_component(self):
-        batch = measure_components(
+        batch = Engine().measure_components(
             [
                 ComponentSpec("clean", (_GOOD,), "top"),
                 ComponentSpec(
@@ -84,11 +81,11 @@ class TestTokenSwap:
 
     def test_swapped_source_degrades_not_crashes(self):
         bad = swap_tokens(_GOOD, n_swaps=6, seed=3)
-        result = measure_component_safe([bad], "top")
+        result = Engine().measure_component_safe([bad], "top")
         # Scrambled identifiers must never escape as a raw traceback:
         # whatever stage trips reports a structured diagnostic, and a
         # clean sibling in the same batch is unaffected.
-        batch = measure_components(
+        batch = Engine().measure_components(
             [
                 ComponentSpec("clean", (_GOOD,), "top"),
                 ComponentSpec("swapped", (bad,), "top"),
@@ -122,7 +119,7 @@ class TestSynthesisLowering:
     )
 
     def test_unsupported_spec_quarantined_others_aggregated(self):
-        result = measure_component_safe([self._MIXED], "mixed_top")
+        result = Engine().measure_component_safe([self._MIXED], "mixed_top")
         assert result.degraded
         measured = [name for name, _ in result.value.specializations]
         assert "doubler" in measured and "divider" not in measured
@@ -138,7 +135,7 @@ class TestSynthesisLowering:
 class TestGenerateBound:
     def test_runaway_generate_quarantined_at_elaborate(self):
         bad = corrupt_generate_bound(_GOOD)
-        result = measure_component_safe([bad], "top")
+        result = Engine().measure_component_safe([bad], "top")
         assert result.degraded  # software metrics survive
         assert "LoC" in result.value.metrics
         assert "Cells" not in result.value.metrics

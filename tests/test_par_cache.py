@@ -9,7 +9,7 @@ must degrade to a recompute with a WARNING diagnostic, never crash.
 import pytest
 
 from repro.cache import SynthesisCache, hit_rate
-from repro.core.workflow import measure_component, measure_component_safe
+from repro.core.engine import Engine
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.diagnostics import Severity
@@ -45,7 +45,7 @@ def _counters():
 def _measure(cache, source=_SRC):
     """One cached measurement plus the counters it produced."""
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
-        result = measure_component_safe([source], "top_alu", cache=cache)
+        result = Engine(cache=cache).measure_component_safe([source], "top_alu")
         counters = _counters()
     assert result.ok
     return result, counters
@@ -70,7 +70,7 @@ class TestHitMiss:
     def test_raising_path_shares_the_key_space(self, cache):
         _measure(cache)  # warm through the fault-tolerant path
         with obs_metrics.using(obs_metrics.MetricsRegistry()):
-            measurement = measure_component([_SRC], "top_alu", cache=cache)
+            measurement = Engine(cache=cache).measure_component([_SRC], "top_alu")
             counters = _counters()
         assert counters.get("cache.misses", 0) == 0
         assert counters.get("synth.specializations", 0) == 0

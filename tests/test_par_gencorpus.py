@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache import SynthesisCache
-from repro.core.workflow import measure_components
+from repro.core.engine import Engine
 from repro.gen import corpus_specs, generate_corpus
 from repro.hdl.source import VERILOG, VHDL
 
@@ -32,14 +32,14 @@ def _metrics_by_name(batch):
 
 def test_jobs4_equals_jobs1(corpus):
     specs = corpus_specs(corpus)
-    seq = measure_components(specs, jobs=1)
-    par = measure_components(specs, jobs=4)
+    seq = Engine(jobs=1).measure_components(specs)
+    par = Engine(jobs=4).measure_components(specs)
     assert _metrics_by_name(seq) == _metrics_by_name(par)
     assert len(seq.failures) == len(par.failures) == 0
 
 
 def test_jobs4_matches_ground_truth(corpus):
-    batch = measure_components(corpus_specs(corpus), jobs=4)
+    batch = Engine(jobs=4).measure_components(corpus_specs(corpus))
     measured = _metrics_by_name(batch)
     for gm in corpus:
         for key, expected in gm.truth.items():
@@ -50,8 +50,8 @@ def test_jobs4_matches_ground_truth(corpus):
 def test_cold_vs_warm_cache(corpus, tmp_path: Path):
     specs = corpus_specs(corpus)
     cache = SynthesisCache(tmp_path / "cache")
-    cold = measure_components(specs, jobs=1, cache=cache)
-    warm = measure_components(specs, jobs=1, cache=cache)
+    cold = Engine(jobs=1, cache=cache).measure_components(specs)
+    warm = Engine(jobs=1, cache=cache).measure_components(specs)
     assert _metrics_by_name(cold) == _metrics_by_name(warm)
     # The cold pass must have populated the store (so the warm pass had
     # something to hit).
@@ -61,6 +61,6 @@ def test_cold_vs_warm_cache(corpus, tmp_path: Path):
 def test_warm_cache_under_jobs4(corpus, tmp_path: Path):
     specs = corpus_specs(corpus)
     cache = SynthesisCache(tmp_path / "cache")
-    cold = measure_components(specs, jobs=4, cache=cache)
-    warm = measure_components(specs, jobs=4, cache=cache)
+    cold = Engine(jobs=4, cache=cache).measure_components(specs)
+    warm = Engine(jobs=4, cache=cache).measure_components(specs)
     assert _metrics_by_name(cold) == _metrics_by_name(warm)

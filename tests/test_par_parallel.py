@@ -11,11 +11,8 @@ import pickle
 import pytest
 
 from repro import obs
-from repro.core.workflow import (
-    ComponentSpec,
-    measure_component,
-    measure_components,
-)
+from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.faultinject import truncate_source
@@ -101,13 +98,13 @@ def _assert_byte_identical(sequential, parallel):
 
 class TestEquivalence:
     def test_parallel_batch_is_byte_identical(self):
-        sequential = measure_components(_specs())
-        parallel = measure_components(_specs(), jobs=4)
+        sequential = Engine().measure_components(_specs())
+        parallel = Engine(jobs=4).measure_components(_specs())
         _assert_byte_identical(sequential, parallel)
 
     def test_faulty_component_quarantined_identically_under_jobs4(self):
-        sequential = measure_components(_specs_with_fault())
-        parallel = measure_components(_specs_with_fault(), jobs=4)
+        sequential = Engine().measure_components(_specs_with_fault())
+        parallel = Engine(jobs=4).measure_components(_specs_with_fault())
         assert set(parallel.failures) == {"corrupt"}
         assert set(parallel.measurements) == {"adder", "mux", "counter"}
         _assert_byte_identical(sequential, parallel)
@@ -119,17 +116,17 @@ class TestEquivalence:
         from repro.hdl.source import HdlError
 
         with pytest.raises(HdlError) as seq_exc:
-            measure_components(_specs_with_fault(), strict=True)
+            Engine().measure_components(_specs_with_fault(), strict=True)
         with pytest.raises(HdlError) as par_exc:
-            measure_components(_specs_with_fault(), strict=True, jobs=4)
+            Engine(jobs=4).measure_components(_specs_with_fault(), strict=True)
         assert str(par_exc.value) == str(seq_exc.value)
         assert par_exc.value.file == seq_exc.value.file
         assert par_exc.value.line == seq_exc.value.line
         assert par_exc.value.hint == seq_exc.value.hint
 
     def test_per_spec_parallelism_matches_sequential(self):
-        sequential = measure_component([_ADDER], "top_adder")
-        parallel = measure_component([_ADDER], "top_adder", jobs=2)
+        sequential = Engine().measure_component([_ADDER], "top_adder")
+        parallel = Engine(jobs=2).measure_component([_ADDER], "top_adder")
         assert parallel == sequential
 
 
@@ -146,7 +143,7 @@ class TestWorkerTelemetry:
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.using(registry):
             with obs.using(tracer):
-                batch = measure_components(_specs_with_fault(), jobs=jobs)
+                batch = Engine(jobs=jobs).measure_components(_specs_with_fault())
         return batch, registry.snapshot()["counters"], tracer
 
     def test_traced_parallel_run_loses_no_counts(self):
@@ -176,7 +173,7 @@ class TestWorkerTelemetry:
     def test_untraced_parallel_run_still_merges_counters(self):
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.using(registry):
-            measure_components(_specs(), jobs=4)
+            Engine(jobs=4).measure_components(_specs())
         counters = registry.snapshot()["counters"]
         assert counters["hdl.files_parsed"] == 3.0
         assert counters["parallel.tasks"] == 3.0

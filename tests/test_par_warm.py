@@ -12,7 +12,8 @@ import pickle
 import pytest
 
 from repro.cache import SynthesisCache
-from repro.core.workflow import ComponentSpec, measure_components
+from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.exec import SupervisionPolicy
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
@@ -86,10 +87,10 @@ def _counters(fn):
 class TestWarmDispatch:
     def test_fully_warm_run_dispatches_zero_pool_tasks(self, tmp_path):
         cache = SynthesisCache(tmp_path / "cache")
-        cold = measure_components(_specs(), cache=cache)
+        cold = Engine(cache=cache).measure_components(_specs())
 
         warm, counters = _counters(
-            lambda: measure_components(_specs(), jobs=4, cache=cache)
+            lambda: Engine(jobs=4, cache=cache).measure_components(_specs())
         )
         # Every component resolved from the memo in the parent: the pool
         # never saw a task (no dispatch, no spawn, no pickling).
@@ -100,22 +101,22 @@ class TestWarmDispatch:
 
     def test_warm_sequential_and_warm_pool_agree(self, tmp_path):
         cache = SynthesisCache(tmp_path / "cache")
-        measure_components(_specs(), cache=cache)
+        Engine(cache=cache).measure_components(_specs())
 
-        warm_seq = measure_components(_specs(), cache=cache)
-        warm_par = measure_components(_specs(), jobs=4, cache=cache)
+        warm_seq = Engine(cache=cache).measure_components(_specs())
+        warm_par = Engine(jobs=4, cache=cache).measure_components(_specs())
         _assert_byte_identical(warm_seq, warm_par)
 
     def test_faulty_component_still_dispatches_and_quarantines(self, tmp_path):
         cache = SynthesisCache(tmp_path / "cache")
         # Warm the three healthy components; the corrupt one can never be
         # memoized (its result carries diagnostics).
-        measure_components(_specs(), cache=cache)
+        Engine(cache=cache).measure_components(_specs())
 
-        sequential = measure_components(_specs_with_fault())
+        sequential = Engine().measure_components(_specs_with_fault())
         warm_par, counters = _counters(
-            lambda: measure_components(
-                _specs_with_fault(), jobs=4, cache=cache
+            lambda: Engine(jobs=4, cache=cache).measure_components(
+                _specs_with_fault()
             )
         )
         # Exactly the corrupt component went to the pool.
@@ -129,11 +130,11 @@ class TestWarmDispatch:
 
     def test_memo_never_stores_degraded_results(self, tmp_path):
         cache = SynthesisCache(tmp_path / "cache")
-        measure_components(_specs_with_fault(), cache=cache)
+        Engine(cache=cache).measure_components(_specs_with_fault())
         # Three pristine memo entries; the quarantined one recomputes.
         assert len(cache.measurement_entries()) == 3
         _, counters = _counters(
-            lambda: measure_components(_specs_with_fault(), cache=cache)
+            lambda: Engine(cache=cache).measure_components(_specs_with_fault())
         )
         assert counters["cache.measure_hits"] == 3.0
         assert counters["cache.measure_misses"] == 1.0
@@ -145,17 +146,17 @@ class TestWarmPoolUnderChaos:
         cache = SynthesisCache(tmp_path / "cache")
         # Warm only the adder: mux and counter must go through the pool,
         # where chaos kills the mux task's worker once.
-        measure_components(_specs()[:1], cache=cache)
+        Engine(cache=cache).measure_components(_specs()[:1])
 
-        sequential = measure_components(_specs())
+        sequential = Engine().measure_components(_specs())
         policy = SupervisionPolicy(
             backoff_base_s=0.01, backoff_cap_s=0.05, poll_interval_s=0.05,
             chaos={"mux": ("kill_once", str(tmp_path / "first-attempt"))},
         )
         warm_par, counters = _counters(
-            lambda: measure_components(
-                _specs(), jobs=4, cache=cache, supervision=policy
-            )
+            lambda: Engine(
+                jobs=4, cache=cache, supervision=policy
+            ).measure_components(_specs())
         )
         assert counters["cache.measure_hits"] == 1.0
         assert counters["exec.worker_deaths"] >= 1.0
