@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from repro.elab.consteval import ConstEvalError, eval_const
 from repro.elab.elaborator import ElaboratedModule
 from repro.hdl import ast
@@ -46,7 +44,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 #: Dataflow-graph algorithm revision (folded into cache keys).
-FLOW_VERSION = 1
+FLOW_VERSION = 2
 
 #: Prefix distinguishing instance pseudo-nodes from signal nodes.
 INSTANCE_PREFIX = "inst:"
@@ -158,14 +156,18 @@ class DataflowGraph:
     def registers(self) -> list[DfgNode]:
         return [n for n in self.nodes.values() if n.is_register]
 
-    def comb_graph(self) -> "nx.DiGraph":
+    def comb_graph(self) -> dict[str, dict[str, int]]:
         """The combinational dependency digraph (W003's substrate).
 
         Matches the historical ``check_comb_loops`` graph exactly: only
         ``comb`` value edges between non-memory signal nodes; address
         (target-index) dependencies and instance pseudo-nodes excluded.
+        Returned as an insertion-ordered ``src -> {dst: line}`` mapping
+        in which every endpoint is a key (a pure sink maps to ``{}``);
+        node and successor order is first appearance in ``edges``, and a
+        repeated ``(src, dst)`` pair keeps its first line.
         """
-        graph = nx.DiGraph()
+        graph: dict[str, dict[str, int]] = {}
         for edge in self.edges:
             if edge.kind != "comb" or edge.addr:
                 continue
@@ -177,8 +179,9 @@ class DataflowGraph:
                 "memory", "instance"
             ):
                 continue
-            if not graph.has_edge(edge.src, edge.dst):
-                graph.add_edge(edge.src, edge.dst, line=edge.line)
+            succ = graph.setdefault(edge.src, {})
+            graph.setdefault(edge.dst, {})
+            succ.setdefault(edge.dst, edge.line)
         return graph
 
     def sink_names(self) -> set[str]:

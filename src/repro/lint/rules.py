@@ -40,9 +40,7 @@ All rules return :class:`LintFinding`s, which render into the runtime's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import networkx as nx
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.elab.consteval import ConstEvalError, eval_const
 from repro.elab.degeneracy import minimal_parameters
@@ -488,6 +486,84 @@ def check_latches(ctx: ModuleContext) -> list[LintFinding]:
 # ---------------------------------------------------------------------------
 
 
+def _strongly_connected(
+    graph: Mapping[str, Mapping[str, int]],
+) -> Iterator[list[str]]:
+    """Tarjan's strongly connected components, iteratively.
+
+    Roots are tried in ``graph`` order and successors in mapping order,
+    so components come out in the same (reverse topological) order on
+    every run.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(graph[succ])))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component: list[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    yield component
+
+
+def _first_cycle(
+    graph: Mapping[str, Mapping[str, int]], members: set[str], source: str
+) -> list[str]:
+    """The first cycle a depth-first search from ``source`` closes.
+
+    Successors are followed in mapping order, restricted to ``members``;
+    the search stops at the first back edge ``v -> w`` and returns the
+    path ``[w, ..., v]``.  Finished nodes are never re-entered.
+    """
+    path = [source]
+    position = {source: 0}
+    finished: set[str] = set()
+    work = [iter(graph[source])]
+    while work:
+        for succ in work[-1]:
+            if succ not in members or succ in finished:
+                continue
+            if succ in position:
+                return path[position[succ]:]
+            position[succ] = len(path)
+            path.append(succ)
+            work.append(iter(graph[succ]))
+            break
+        else:
+            work.pop()
+            done = path.pop()
+            del position[done]
+            finished.add(done)
+    return []
+
+
 def check_comb_loops(ctx: ModuleContext) -> list[LintFinding]:
     dfg = _ctx_dfg(ctx)
     if dfg is None:
@@ -496,14 +572,13 @@ def check_comb_loops(ctx: ModuleContext) -> list[LintFinding]:
 
     findings: list[LintFinding] = []
     seen: set[tuple[str, ...]] = set()
-    for component in nx.strongly_connected_components(graph):
+    for component in _strongly_connected(graph):
         nodes = sorted(component)
-        if len(nodes) == 1 and not graph.has_edge(nodes[0], nodes[0]):
+        if len(nodes) == 1 and nodes[0] not in graph[nodes[0]]:
             continue
         # One representative cycle per SCC, canonicalized to start at the
         # lexicographically smallest member so rotations dedupe.
-        sub = graph.subgraph(component)
-        order = [edge[0] for edge in nx.find_cycle(sub, source=nodes[0])]
+        order = _first_cycle(graph, set(component), nodes[0])
         pivot = order.index(min(order))
         order = order[pivot:] + order[:pivot]
         canon = tuple(order)
@@ -514,7 +589,7 @@ def check_comb_loops(ctx: ModuleContext) -> list[LintFinding]:
         hops = []
         lines = []
         for a, b in zip(order, order[1:] + [order[0]]):
-            line = int(graph.edges[a, b].get("line", 0))
+            line = graph[a][b]
             lines.append(line)
             hops.append(f"{a}->{b} line {line}")
         findings.append(
@@ -776,13 +851,23 @@ def check_dead_cones(ctx: ModuleContext) -> list[LintFinding]:
     }
     if not dead:
         return []
-    cones = nx.Graph()
-    cones.add_nodes_from(dead)
+    neighbors: dict[str, set[str]] = {name: set() for name in dead}
     for edge in dfg.edges:
         if edge.src in dead and edge.dst in dead and edge.src != edge.dst:
-            cones.add_edge(edge.src, edge.dst)
+            neighbors[edge.src].add(edge.dst)
+            neighbors[edge.dst].add(edge.src)
     findings: list[LintFinding] = []
-    for component in nx.connected_components(cones):
+    placed: set[str] = set()
+    for start in sorted(dead):
+        if start in placed:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            for other in neighbors[frontier.pop()] - component:
+                component.add(other)
+                frontier.append(other)
+        placed |= component
         members = sorted(component)
         lines = [
             site.line

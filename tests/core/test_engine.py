@@ -190,12 +190,26 @@ class TestEngineEquivalence:
 
 
 class TestStrictQuarantine:
-    def test_synthesis_task_key_is_unchanged(self):
+    def test_synthesis_task_key_is_unchanged(self, monkeypatch):
         # A journal written while the key still took a ``safe`` flag
-        # (always True on the surviving path) must keep resuming.
-        assert synthesis_task_key(
-            ["module m; endmodule"], "m", {"W": 2}, strict=False
-        ) == "2139b7d45c2953179ba3e0a8a9a808d403cf0ca403f623875d52e5d351cc31cf"
+        # (always True on the surviving path) must keep resuming.  The
+        # first pin was recorded under the ``flow1`` salt: with the salt
+        # patched back, the key formula must still produce it.
+        def key():
+            return synthesis_task_key(
+                ["module m; endmodule"], "m", {"W": 2}, strict=False
+            )
+
+        assert key() == (
+            "1fa1dbfcc4e5e3c4747115c26c1e61f23ab8fe74515122d012f21cc74c83d520"
+        )
+        monkeypatch.setattr(
+            "repro.cache.SALT",
+            "ucx-cache1|verilog1|vhdl1|elab1|synth2|flow1",
+        )
+        assert key() == (
+            "2139b7d45c2953179ba3e0a8a9a808d403cf0ca403f623875d52e5d351cc31cf"
+        )
 
     @pytest.mark.chaos
     def test_strict_raises_on_supervisor_quarantine(self):
