@@ -16,9 +16,15 @@ Here a parameterization is **degenerate** when, after elaboration:
   wide-path logic);
 * elaboration itself fails (zero-width vectors, empty memories, ...).
 
-``minimal_parameters`` searches upward from 1 for the smallest
-non-degenerate value of each parameter, which is what the accounting
-procedure feeds to synthesis.
+``minimal_parameters`` finds the smallest non-degenerate value of each
+parameter, which is what the accounting procedure feeds to synthesis.
+It tries the candidates from 1 upward, but skips each one that the
+module *header* already proves degenerate: the same rules run on the
+top-level items alone, with the public parameters at the candidate and
+the top-level localparams, then recurse into top-level instances.  A
+proof implies that the full trial would report events too, so skipping
+never changes the answer; only candidates the header cannot decide are
+elaborated.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from repro.elab.elaborator import (
     DesignHierarchy,
     ElaboratedModule,
     ElaborationError,
+    SignalInfo,
+    child_parameters,
     elaborate,
 )
 from repro.hdl import ast
@@ -169,7 +177,14 @@ def _trip_count(
             return trips
         trips += 1
         value = eval_const(substitute(loop.step, env_bindings), spec.env)
-    raise ElaborationError(f"{spec.name}: loop {loop.var!r} does not terminate")
+    raise ElaborationError(
+        f"{spec.name}: loop {loop.var!r} does not terminate",
+        file=spec.module.source_name,
+        line=loop.line,
+        hint="the loop's step must move its variable toward the exit "
+             "condition; check the step expression and the bound's "
+             "parameter bindings",
+    )
 
 
 def _walk_stmts(
@@ -223,21 +238,27 @@ def _walk_stmts(
 def _walk_stmt_exprs(
     stmt: ast.Stmt, spec: ElaboratedModule, events: list[DegeneracyEvent]
 ) -> None:
+    for expr in _stmt_exprs(stmt):
+        _expr_events(expr, spec, events)
+
+
+def _stmt_exprs(stmt: ast.Stmt) -> Iterator[ast.Expr]:
+    """Every expression of a statement, in source order (loops included)."""
     if isinstance(stmt, ast.Assign):
-        _expr_events(stmt.target, spec, events)
-        _expr_events(stmt.value, spec, events)
+        yield stmt.target
+        yield stmt.value
     elif isinstance(stmt, ast.If):
-        _expr_events(stmt.cond, spec, events)
+        yield stmt.cond
         for s in stmt.then_body + stmt.else_body:
-            _walk_stmt_exprs(s, spec, events)
+            yield from _stmt_exprs(s)
     elif isinstance(stmt, ast.Case):
-        _expr_events(stmt.subject, spec, events)
+        yield stmt.subject
         for item in stmt.items:
             for s in item.body:
-                _walk_stmt_exprs(s, spec, events)
+                yield from _stmt_exprs(s)
     elif isinstance(stmt, ast.For):
         for s in stmt.body:
-            _walk_stmt_exprs(s, spec, events)
+            yield from _stmt_exprs(s)
 
 
 def _expr_events(
@@ -249,6 +270,27 @@ def _expr_events(
     at ``W = 1`` -- constant propagation exposes it as dead -- so such a
     parameterization must not be used for measurement.
     """
+    _select_events(expr, spec, events)
+    for child in _walked(expr):
+        _expr_events(child, spec, events)
+
+
+def _walked(expr: ast.Expr) -> tuple[ast.Expr, ...]:
+    """The subexpressions :func:`_expr_events` descends into.
+
+    Range and count operands are folded, never walked.
+    """
+    if isinstance(expr, ast.PartSelect):
+        return (expr.base,)
+    if isinstance(expr, ast.Repeat):
+        return (expr.value,)
+    return _children(expr)
+
+
+def _select_events(
+    expr: ast.Expr, spec: ElaboratedModule, events: list[DegeneracyEvent]
+) -> None:
+    """The events of one select or replication node (not its children)."""
     if isinstance(expr, ast.PartSelect):
         msb = _try_const(expr.msb, spec)
         lsb = _try_const(expr.lsb, spec)
@@ -271,9 +313,7 @@ def _expr_events(
                             f"{sig.name}[{declared_msb}:{sig.lsb}]",
                         )
                     )
-        _expr_events(expr.base, spec, events)
-        return
-    if isinstance(expr, ast.Select):
+    elif isinstance(expr, ast.Select):
         idx = _try_const(expr.index, spec)
         if idx is not None:
             sig = _signal_of(expr.base, spec)
@@ -286,10 +326,7 @@ def _expr_events(
                             f"(width {sig.width})",
                         )
                     )
-        _expr_events(expr.base, spec, events)
-        _expr_events(expr.index, spec, events)
-        return
-    if isinstance(expr, ast.Repeat):
+    elif isinstance(expr, ast.Repeat):
         count = _try_const(expr.count, spec)
         if count is not None and count < 0:
             events.append(
@@ -298,10 +335,6 @@ def _expr_events(
                     f"replication count {count} is negative",
                 )
             )
-        _expr_events(expr.value, spec, events)
-        return
-    for child in _children(expr):
-        _expr_events(child, spec, events)
 
 
 def _signal_of(base: ast.Expr, spec: ElaboratedModule):
@@ -334,6 +367,8 @@ def _try_const(expr: ast.Expr, spec: ElaboratedModule) -> int | None:
     Only parameter-dependent expressions can fold; anything referencing a
     signal raises ConstEvalError inside and returns None.
     """
+    if isinstance(expr, ast.Ident):  # the common case, without a raise
+        return spec.env.get(expr.name)
     try:
         return eval_const(expr, spec.env)
     except ConstEvalError:
@@ -411,10 +446,15 @@ def minimal_parameters(
 ) -> MinimalParameters:
     """Smallest non-degenerate parameter values for a module (Section 2.2).
 
-    Each parameter is scanned upward from 1 with the others held fixed;
-    the scan repeats until a fixpoint (parameters can interact).  If no
-    value in ``[1, MAX_PARAM_SEARCH]`` removes all degeneracies for some
-    parameter, its declared default is kept for that round.
+    For each parameter, with the others held fixed, the candidates from 1
+    upward are tried in order until one is non-degenerate; the search
+    repeats until a fixpoint (parameters can interact).  If no value in
+    ``[1, MAX_PARAM_SEARCH]`` removes all degeneracies for some
+    parameter, its declared default is kept for that round.  A candidate
+    the module header proves degenerate is skipped without elaborating
+    it, and one full trial runs at the final rejected value for the
+    blocker's events, so the answer equals that of elaborating every
+    candidate.
 
     The result is a :class:`MinimalParameters` mapping: drop-in compatible
     with the plain dict this function used to return, plus per-parameter
@@ -445,35 +485,373 @@ def _search_minimal(
         defaults[p.name] = eval_const(p.default, env)
         env[p.name] = defaults[p.name]
 
+    skipped = obs_metrics.counter("account.trials_skipped")
     current = dict(defaults)
-    blocked: dict[str, BlockedMinimization] = {}
+    # Per parameter, the largest candidate its last scan rejected, with
+    # the events seen there (None while only the header rejected it).
+    rejected: dict[
+        str, tuple[dict[str, int], tuple[DegeneracyEvent, ...] | None]
+    ] = {}
     for _ in range(max_rounds):
         previous = dict(current)
         for name in params:
             chosen = None
-            last_events: tuple[DegeneracyEvent, ...] = ()
-            last_candidate = 0
+            rejected.pop(name, None)
             for candidate in range(1, MAX_PARAM_SEARCH + 1):
                 trial = dict(current)
                 trial[name] = candidate
+                if _header_degenerate(design, module_name, trial, ()):
+                    skipped.inc()
+                    rejected[name] = (trial, None)
+                    continue
                 events = degeneracy_events(design, module_name, trial)
                 if not events:
                     chosen = candidate
                     break
-                last_events = tuple(events)
-                last_candidate = candidate
+                rejected[name] = (trial, tuple(events))
             current[name] = chosen if chosen is not None else defaults[name]
-            if last_candidate:
-                blocked[name] = BlockedMinimization(
-                    parameter=name,
-                    rejected_value=last_candidate,
-                    events=last_events,
-                )
-            else:
-                blocked.pop(name, None)
         if current == previous:
             break
-    return MinimalParameters(
-        values=current,
-        blockers=tuple(blocked[n] for n in params if n in blocked),
+    blockers = []
+    for name in params:
+        if name not in rejected:
+            continue
+        trial, found = rejected[name]
+        if found is None:  # one full trial, for the blocker's events
+            found = tuple(degeneracy_events(design, module_name, trial))
+        blockers.append(BlockedMinimization(name, trial[name], found))
+    return MinimalParameters(values=current, blockers=tuple(blockers))
+
+
+def _header_degenerate(
+    design: ast.Design,
+    module_name: str,
+    binding: Mapping[str, int],
+    stack: tuple[str, ...],
+) -> bool:
+    """Whether the module header alone proves ``binding`` degenerate.
+
+    "Proven" implies that :func:`degeneracy_events` at the same binding is
+    non-empty, so the search may skip the trial.  Anything the proof
+    cannot finish means "not proven": the full trial then runs and
+    reports, or raises, exactly as it would have.  Answers are memoized
+    per design and binding; ``stack`` (the modules above this one) only
+    withholds proofs, so a memoized "proven" holds under any parent.
+    """
+    memo = design.memo("degeneracy.headers")
+    key = (module_name, tuple(sorted(binding.items())))
+    proven = memo.get(key)
+    if proven is None:
+        try:
+            proven = _prove_header(design, module_name, binding, stack)
+        except Exception:  # noqa: BLE001 -- the full trial meets it again
+            proven = False
+        memo[key] = proven
+    return proven
+
+
+#: A declaration's shape: (msb, lsb, memory depth) expressions.
+_Shape = tuple[ast.Expr | None, ast.Expr | None, ast.Expr | None]
+
+
+@dataclass(frozen=True)
+class _Header:
+    """The binding-independent part of a module's header proof.
+
+    ``shapes`` are the distinct (msb, lsb, depth) triples of the ports
+    and top-level signal declarations, so a proof evaluates each once per
+    env.  ``ports`` and ``decls`` refer to them by index; ``decls`` are
+    the top-level localparams, signal declarations and instances in item
+    order.  ``unbound`` are public parameters, and localparams are left
+    out of ``decls``, when a generate construct can rebind the name in
+    the elaborated env: localparams under top-level generate ``if``s land
+    there unprefixed, and generate ``for`` bodies add ``__``-joined
+    names.  ``selects`` are the distinct select and replication nodes
+    that :func:`_expr_events` visits in top-level expressions and whose
+    operands name parameters only (a header env holds nothing else, so
+    no other node can fold there), and ``bases`` the signals they select
+    from: the only ones whose :class:`SignalInfo` a proof needs.
+    """
+
+    module: ast.Module
+    params: tuple[ast.ParamDecl, ...]
+    unbound: tuple[str, ...]
+    shapes: tuple[_Shape, ...]
+    ports: tuple[tuple[str, str, int], ...]
+    decls: tuple[tuple[ast.ParamDecl | ast.SignalDecl | ast.Instance, int], ...]
+    generates: tuple[ast.Item, ...]
+    stmts: tuple[ast.Stmt, ...]
+    selects: tuple[ast.Expr, ...]
+    bases: frozenset[str]
+
+
+def _header(design: ast.Design, module_name: str) -> _Header:
+    """The module's header proof plan, built once per design."""
+    memo = design.memo("degeneracy.header_plans")
+    plan = memo.get(module_name)
+    if plan is None:
+        plan = memo[module_name] = _plan_header(design.module(module_name))
+    return plan
+
+
+def _plan_header(module: ast.Module) -> _Header:
+    rebound = _generate_if_params(module.items)
+
+    def bindable(name: str) -> bool:
+        return name not in rebound and "__" not in name
+
+    shapes: dict[_Shape, int] = {}
+
+    def shape_index(msb, lsb, depth=None) -> int:
+        return shapes.setdefault((msb, lsb, depth), len(shapes))
+
+    names = {i.name for i in module.items if isinstance(i, ast.ParamDecl)}
+    ports = tuple(
+        (port.name, port.direction, shape_index(port.msb, port.lsb))
+        for port in module.ports
     )
+    decls: list[tuple[ast.ParamDecl | ast.SignalDecl | ast.Instance, int]] = []
+    generates: list[ast.Item] = []
+    stmts: list[ast.Stmt] = []
+    exprs: list[ast.Expr] = []
+    for item in module.items:
+        if isinstance(item, ast.ParamDecl):
+            if item.local and bindable(item.name):
+                decls.append((item, -1))
+        elif isinstance(item, ast.SignalDecl):
+            decls.append((item, shape_index(item.msb, item.lsb, item.depth)))
+        elif isinstance(item, ast.Instance):
+            decls.append((item, -1))
+            exprs.extend(expr for _, expr in item.connections)
+        elif isinstance(item, ast.ContinuousAssign):
+            exprs += (item.target, item.value)
+        elif isinstance(item, ast.ProcessBlock):
+            stmts.extend(_foldable_stmts(item.body, names))
+            for stmt in item.body:
+                exprs.extend(_stmt_exprs(stmt))
+        else:
+            generates.append(item)
+    selects = tuple(dict.fromkeys(
+        node
+        for expr in exprs
+        for node in _walk(expr)
+        if _operands(node)
+        and all(name in names for op in _operands(node) for name in _idents(op))
+    ))
+    params = module.params
+    return _Header(
+        module=module,
+        params=params,
+        unbound=tuple(p.name for p in params if not bindable(p.name)),
+        shapes=tuple(shapes),
+        ports=ports,
+        decls=tuple(decls),
+        generates=tuple(generates),
+        stmts=tuple(stmts),
+        selects=selects,
+        bases=frozenset(
+            node.base.name for node in selects
+            if isinstance(node, (ast.Select, ast.PartSelect))
+            and isinstance(node.base, ast.Ident)
+        ),
+    )
+
+
+def _prove_header(
+    design: ast.Design,
+    module_name: str,
+    binding: Mapping[str, int],
+    stack: tuple[str, ...],
+) -> bool:
+    """Run the degeneracy rules on the module's top-level items only.
+
+    The header mirrors the elaborator's walk of the top level: public
+    parameters at ``binding``, ports at the public values, then
+    localparams, signal declarations and instance overrides, each at the
+    env reached so far.  It keeps only what elaboration computes
+    identically (a declaration whose bounds do not evaluate is left
+    out), so every value it holds equals the elaborated one.  A
+    non-positive width or depth is proven outright, because elaboration
+    fails there.  Otherwise the rules run on the header, and then the
+    proof recurses into top-level instances whose overrides evaluate.
+    """
+    plan = _header(design, module_name)
+    env: dict[str, int] = {}
+    for p in plan.params:
+        env[p.name] = (
+            binding[p.name] if p.name in binding else eval_const(p.default, env)
+        )
+    public = dict(env)
+    # Shapes evaluated at the current env; cleared whenever env changes.
+    evaluated: dict[int, tuple[int, int, int | None] | None] = {}
+
+    def shape(index: int) -> tuple[int, int, int | None] | None:
+        if index not in evaluated:
+            evaluated[index] = _evaluate_shape(plan.shapes[index], env)
+        return evaluated[index]
+
+    signals: dict[str, SignalInfo] = {}
+    for name, direction, index in plan.ports:
+        found = shape(index)
+        if found is None:
+            continue
+        if found[0] <= 0:
+            return True
+        if name in plan.bases:
+            signals[name] = SignalInfo(
+                name, found[0], direction=direction, lsb=found[1]
+            )
+    if plan.unbound:
+        for name in plan.unbound:
+            env.pop(name, None)
+        evaluated.clear()
+
+    children: list[tuple[str, dict[str, int]]] = []
+    for decl, index in plan.decls:
+        if isinstance(decl, ast.ParamDecl):
+            env[decl.name] = eval_const(decl.default, env)
+            evaluated.clear()
+        elif isinstance(decl, ast.SignalDecl):
+            found = shape(index)
+            if found is None:
+                continue
+            width, lsb, depth = found
+            if width <= 0 or (depth is not None and depth <= 0):
+                return True
+            if decl.name in plan.bases:
+                signals[decl.name] = SignalInfo(decl.name, width, depth, lsb=lsb)
+        else:
+            child = _child_binding(design, module_name, decl, env)
+            if child is not None:
+                children.append((decl.module_name, child))
+
+    header = ElaboratedModule(
+        module_name, public, env, signals, [], [], [], plan.module
+    )
+    events: list[DegeneracyEvent] = []
+    _walk_generate(plan.generates, header, {}, events)
+    _walk_stmts(plan.stmts, header, events)
+    for node in plan.selects:
+        _select_events(node, header, events)
+    if events:
+        return True
+    stack = stack + (module_name,)
+    return any(
+        child not in stack and _header_degenerate(design, child, params, stack)
+        for child, params in children
+    )
+
+
+def _evaluate_shape(
+    shape: _Shape, env: Mapping[str, int]
+) -> tuple[int, int, int | None] | None:
+    """(width, declared lsb, depth) of a declaration, None if unknown."""
+    msb, lsb, depth = shape
+    try:
+        if msb is None:
+            width, low = 1, 0
+        else:
+            assert lsb is not None
+            low = eval_const(lsb, env)
+            width = eval_const(msb, env) - low + 1
+        return width, low, None if depth is None else eval_const(depth, env)
+    except ConstEvalError:
+        return None
+
+
+def _foldable_stmts(
+    stmts: tuple[ast.Stmt, ...], names: set[str]
+) -> list[ast.Stmt]:
+    """The statements :func:`_walk_stmts` can fold on a header.
+
+    A conditional or loop whose control names only ``names`` is kept
+    whole.  Any other conditional never folds there, so only its
+    branches are kept; any other loop's trip count does not evaluate
+    there, so ``_walk_stmts`` would skip it and its body.  Assignments
+    never fold.
+    """
+    out: list[ast.Stmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, ast.If):
+            if set(_idents(stmt.cond)) <= names:
+                out.append(stmt)
+            else:
+                out += _foldable_stmts(stmt.then_body + stmt.else_body, names)
+        elif isinstance(stmt, ast.Case):
+            if set(_idents(stmt.subject)) <= names:
+                out.append(stmt)
+            else:
+                for item in stmt.items:
+                    out += _foldable_stmts(item.body, names)
+        elif isinstance(stmt, ast.For):
+            bounds = (stmt.start, stmt.cond, stmt.step)
+            if {n for e in bounds for n in _idents(e)} <= names | {stmt.var}:
+                out.append(stmt)
+    return out
+
+
+def _operands(expr: ast.Expr) -> tuple[ast.Expr, ...]:
+    """The operands :func:`_expr_events` folds at this node."""
+    if isinstance(expr, ast.PartSelect):
+        return (expr.msb, expr.lsb)
+    if isinstance(expr, ast.Select):
+        return (expr.index,)
+    if isinstance(expr, ast.Repeat):
+        return (expr.count,)
+    return ()
+
+
+def _walk(expr: ast.Expr) -> Iterator[ast.Expr]:
+    """The nodes :func:`_expr_events` visits under ``expr``, in its order."""
+    yield expr
+    for child in _walked(expr):
+        yield from _walk(child)
+
+
+def _idents(expr: ast.Expr) -> Iterator[str]:
+    """Every identifier ``expr`` references, operands of selects included."""
+    if isinstance(expr, ast.Ident):
+        yield expr.name
+        return
+    if isinstance(expr, ast.PartSelect):
+        children: tuple[ast.Expr, ...] = (expr.base, expr.msb, expr.lsb)
+    elif isinstance(expr, ast.Repeat):
+        children = (expr.count, expr.value)
+    else:
+        children = _children(expr)
+    for child in children:
+        yield from _idents(child)
+
+
+def _generate_if_params(items: tuple[ast.Item, ...]) -> set[str]:
+    """Localparams that top-level generate ``if``s bind without a prefix."""
+    names: set[str] = set()
+    for item in items:
+        if isinstance(item, ast.GenerateIf):
+            branches = item.then_body + item.else_body
+            names.update(i.name for i in branches if isinstance(i, ast.ParamDecl))
+            names |= _generate_if_params(branches)
+    return names
+
+
+def _child_binding(
+    design: ast.Design,
+    parent: str,
+    inst: ast.Instance,
+    env: Mapping[str, int],
+) -> dict[str, int] | None:
+    """The child's public parameters as elaboration resolves them, or None.
+
+    None when an override does not evaluate here or the instance is
+    malformed (elaboration fails on it; the proof just does not recurse).
+    """
+    child = design.modules.get(inst.module_name)
+    if child is None:
+        return None
+    try:
+        return child_parameters(
+            child, inst.param_overrides, env, parent,
+            lambda expr, scope, _where: eval_const(expr, scope),
+        )
+    except (ConstEvalError, ElaborationError):
+        return None

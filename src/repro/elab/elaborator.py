@@ -9,7 +9,7 @@ occurrences that the accounting procedure of Section 2.2 consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.elab.consteval import ConstEvalError, eval_const, substitute
 from repro.hdl import ast
@@ -443,31 +443,16 @@ class _Elaborator:
                      "component's file list",
             ) from None
 
-        # Resolve parameter overrides (positional by declaration order).
-        child_params = child.params
-        overrides: dict[str, int] = {}
-        positional = 0
-        for pname, pexpr in inst.param_overrides:
-            value = self._eval(substitute(pexpr, bindings), spec.env, module_name)
-            if pname:
-                overrides[pname] = value
-            else:
-                if positional >= len(child_params):
-                    raise ElaborationError(
-                        f"{module_name}: too many positional parameters for "
-                        f"{inst.module_name}"
-                    )
-                overrides[child_params[positional].name] = value
-                positional += 1
-        # Resolve the child's full public parameter values (defaults may
-        # reference earlier child parameters).
-        child_env: dict[str, int] = {}
-        for p in child_params:
-            child_env[p.name] = (
-                overrides[p.name]
-                if p.name in overrides
-                else self._eval(p.default, child_env, inst.module_name)
-            )
+        child_env = child_parameters(
+            child,
+            tuple(
+                (pname, substitute(pexpr, bindings))
+                for pname, pexpr in inst.param_overrides
+            ),
+            spec.env,
+            module_name,
+            self._eval,
+        )
 
         # Resolve connections (positional by port order).
         connections: list[tuple[str, ast.Expr]] = []
@@ -496,6 +481,42 @@ class _Elaborator:
             connections=tuple(connections),
             line=inst.line,
         )
+
+
+def child_parameters(
+    child: ast.Module,
+    overrides: tuple[tuple[str, ast.Expr], ...],
+    env: Mapping[str, int],
+    parent: str,
+    evaluate: Callable[[ast.Expr, Mapping[str, int], str], int],
+) -> dict[str, int]:
+    """Every public parameter of ``child`` for one instantiation in ``parent``.
+
+    ``overrides`` bind by name, or by declaration order when unnamed, and
+    are evaluated in the parent's ``env``; the other parameters take
+    their defaults, which may reference earlier child parameters.
+    ``evaluate(expr, env, where)`` folds one expression.
+    """
+    params = child.params
+    values: dict[str, int] = {}
+    positional = 0
+    for pname, pexpr in overrides:
+        value = evaluate(pexpr, env, parent)
+        if not pname:
+            if positional >= len(params):
+                raise ElaborationError(
+                    f"{parent}: too many positional parameters for {child.name}"
+                )
+            pname = params[positional].name
+            positional += 1
+        values[pname] = value
+    resolved: dict[str, int] = {}
+    for p in params:
+        resolved[p.name] = (
+            values[p.name] if p.name in values
+            else evaluate(p.default, resolved, child.name)
+        )
+    return resolved
 
 
 def _iter_params(items: tuple[ast.Item, ...]):

@@ -32,8 +32,8 @@ STAGE_HINTS: dict[str, str] = {
     "measure": "software metrics need at least one parseable source file",
     "elaborate": "check parameter bindings and generate bounds of the top "
                  "module; degenerate parameters can be overridden explicitly",
-    "account": "disable --no-accounting or provide minimal parameters for "
-               "parameterized modules",
+    "account": "re-run measure with --no-accounting, or provide minimal "
+               "parameters for parameterized modules",
     "synthesize": "the specialization uses an unsupported construct; it is "
                   "skipped and the compounded index excludes it",
     "cache": "the on-disk cache entry was unreadable and has been evicted; "

@@ -117,6 +117,19 @@ _GHOST_TOP = SourceFile(
 )
 
 
+_SPIN = SourceFile(
+    "spin.v",
+    """module spin #(parameter W = 4)(input clk, input [W-1:0] d,
+                                 output reg [W-1:0] q);
+  integer i;
+  always @(posedge clk) begin
+    for (i = 0; i < W; i = i) q[i] <= d[i];
+  end
+endmodule
+""",
+)
+
+
 class TestMeasureComponentSafe:
     def test_clean_matches_fail_fast_path(self):
         safe = ENGINE.measure_component_safe([_HIER], "top")
@@ -150,6 +163,14 @@ class TestMeasureComponentSafe:
     def test_strict_reraises(self):
         with pytest.raises(HdlSyntaxError):
             ENGINE.measure_component_safe([_BROKEN], "top", strict=True)
+
+    def test_nonterminating_loop_is_located(self):
+        result = ENGINE.measure_component_safe([_SPIN], "spin")
+        (diag,) = [d for d in result.diagnostics if d.stage == "account"]
+        assert diag.message == "spin: loop 'i' does not terminate"
+        assert diag.span is not None
+        assert (diag.span.file, diag.span.line) == ("spin.v", 5)
+        assert "step" in diag.hint
 
 
 class TestMeasureComponents:

@@ -1,7 +1,10 @@
 """Tests for stage boundaries (fault isolation)."""
 
+import re
+
 import pytest
 
+from repro.cli import build_parser
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Result, Severity
 from repro.runtime.stages import STAGE_HINTS, StageBoundary
@@ -22,6 +25,12 @@ class TestRun:
         assert diag.stage == "parse"
         assert diag.component == "alu"
         assert diag.hint == STAGE_HINTS["parse"]
+
+    def test_account_hint_names_a_measure_flag(self):
+        flags = re.findall(r"--[a-z][a-z-]*", STAGE_HINTS["account"])
+        assert flags == ["--no-accounting"]
+        args = build_parser().parse_args(["measure", "x.v", "--top", "x", *flags])
+        assert args.no_accounting
 
     def test_explicit_hint_wins(self):
         b = StageBoundary()
