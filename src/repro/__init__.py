@@ -16,32 +16,42 @@ Quick start::
     print(dee1.sigma_eps)                       # ~0.46, Table 4
     est = dee1.estimate({"Stmts": 950, "FanInLC": 6100}, team="IVM")
     lo, hi = dee1.interval({"Stmts": 950, "FanInLC": 6100}, team="IVM")
+
+The public names resolve on first access (PEP 562), so measuring, linting
+and serving never import the fitters or scipy.
 """
 
-from repro.core.accounting import AccountingPolicy
-from repro.core.engine import Engine
-from repro.core.estimator import DesignEffortEstimator, fit_dee1
-from repro.core.productivity import ProductivityLedger, calibrate_productivity
-from repro.data.dataset import EffortDataset, EffortRecord
-from repro.data.paper import paper_dataset
-from repro.stats.lognormal import confidence_factors, confidence_interval
-from repro.stats.nlme import fit_nlme
-from repro.stats.fixedeffects import fit_fixed_effects
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccountingPolicy",
-    "DesignEffortEstimator",
-    "EffortDataset",
-    "EffortRecord",
-    "Engine",
-    "ProductivityLedger",
-    "calibrate_productivity",
-    "confidence_factors",
-    "confidence_interval",
-    "fit_dee1",
-    "fit_fixed_effects",
-    "fit_nlme",
-    "paper_dataset",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "AccountingPolicy": "repro.core.accounting",
+    "DesignEffortEstimator": "repro.core.estimator",
+    "EffortDataset": "repro.data.dataset",
+    "EffortRecord": "repro.data.dataset",
+    "Engine": "repro.core.engine",
+    "ProductivityLedger": "repro.core.productivity",
+    "calibrate_productivity": "repro.core.productivity",
+    "confidence_factors": "repro.stats.lognormal",
+    "confidence_interval": "repro.stats.lognormal",
+    "fit_dee1": "repro.core.estimator",
+    "fit_fixed_effects": "repro.stats.fixedeffects",
+    "fit_nlme": "repro.stats.nlme",
+    "paper_dataset": "repro.data.paper",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

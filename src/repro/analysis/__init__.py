@@ -8,22 +8,7 @@
   (Figure 6), driven by measurements of the bundled RTL designs.
 * :mod:`repro.analysis.crossval` -- leave-one-out validation (extension).
 * :mod:`repro.analysis.tables` -- ASCII rendering of tables and figures.
+
+The package re-exports nothing, so ``measure`` can render a table without
+importing the evaluation code and its fitters.
 """
-
-from repro.analysis.combos import CombinationResult, sweep_metric_pairs
-from repro.analysis.crossval import LooResult, leave_one_out
-from repro.analysis.evaluation import (
-    EstimatorAccuracy,
-    EvaluationResult,
-    evaluate_estimators,
-)
-
-__all__ = [
-    "CombinationResult",
-    "EstimatorAccuracy",
-    "EvaluationResult",
-    "LooResult",
-    "evaluate_estimators",
-    "leave_one_out",
-    "sweep_metric_pairs",
-]

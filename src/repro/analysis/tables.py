@@ -6,9 +6,10 @@ helpers format them.  Nothing here affects the numbers -- rendering only.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.analysis.evaluation import EvaluationResult
+if TYPE_CHECKING:
+    from repro.analysis.evaluation import EvaluationResult
 
 
 def render_table(

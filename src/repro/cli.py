@@ -50,14 +50,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.analysis.evaluation import evaluate_estimators
-from repro.analysis.tables import render_table, render_table4
+from repro.analysis.tables import render_table
 from repro.core.accounting import AccountingPolicy
-from repro.core.estimator import DesignEffortEstimator
-from repro.data.dataset import EffortDataset
-from repro.data.paper import paper_dataset
 from repro.hdl.source import SourceFile
 from repro.runtime.diagnostics import (
     EXIT_DEGRADED,
@@ -69,6 +66,9 @@ from repro.runtime.diagnostics import (
     exit_code,
     render_report,
 )
+
+if TYPE_CHECKING:
+    from repro.data.dataset import EffortDataset
 
 #: The tracked, curated perf history (one entry per change), relative to
 #: the repository root; ``BENCH_obs.json`` is the local per-session one.
@@ -256,6 +256,9 @@ def _load_dataset(
     path: str | None, keep_going: bool, diagnostics: list[Diagnostic]
 ) -> EffortDataset | None:
     """Load a CSV (or the paper data); None means a fatal load failure."""
+    from repro.data.dataset import EffortDataset
+    from repro.data.paper import paper_dataset
+
     if path is None:
         return paper_dataset()
     result = EffortDataset.from_csv_checked(Path(path), keep_going=keep_going)
@@ -264,6 +267,8 @@ def _load_dataset(
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from repro.core.estimator import DesignEffortEstimator
+
     diagnostics: list[Diagnostic] = []
     dataset = _load_dataset(args.dataset, args.keep_going, diagnostics)
     if dataset is None:
@@ -294,6 +299,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.core.estimator import DesignEffortEstimator
+
     diagnostics: list[Diagnostic] = []
     dataset = _load_dataset(args.dataset, args.keep_going, diagnostics)
     if dataset is None:
@@ -320,6 +327,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.analysis.evaluation import evaluate_estimators
+    from repro.analysis.tables import render_table4
+
     diagnostics: list[Diagnostic] = []
     dataset = _load_dataset(args.dataset, args.keep_going, diagnostics)
     if dataset is None:

@@ -12,33 +12,7 @@ The methodology has three parts (Section 2):
 
 :mod:`repro.core.metrics` declares the Table 3 metric registry,
 :mod:`repro.core.timeline` models the Figure 1 development timeline, and
-:mod:`repro.core.workflow` wires the whole flow (RTL in, effort estimates
-out) together.
+:mod:`repro.core.engine` wires the whole flow (RTL in, effort estimates
+out) together.  The package re-exports nothing: importing the engine must
+not import the estimator, whose fitters need scipy.
 """
-
-from repro.core.accounting import AccountingPolicy, select_components
-from repro.core.estimator import DesignEffortEstimator, fit_dee1
-from repro.core.metrics import (
-    METRIC_REGISTRY,
-    MetricDefinition,
-    MetricSource,
-    metric_definition,
-)
-from repro.core.productivity import ProductivityLedger, calibrate_productivity
-from repro.core.timeline import DevelopmentTimeline, Stage, default_timeline
-
-__all__ = [
-    "AccountingPolicy",
-    "DesignEffortEstimator",
-    "DevelopmentTimeline",
-    "METRIC_REGISTRY",
-    "MetricDefinition",
-    "MetricSource",
-    "ProductivityLedger",
-    "Stage",
-    "calibrate_productivity",
-    "default_timeline",
-    "fit_dee1",
-    "metric_definition",
-    "select_components",
-]

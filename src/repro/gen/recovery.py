@@ -30,11 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.stats.fixedeffects import fit_fixed_effects
 from repro.stats.grouping import GroupedData
-from repro.stats.laplace import fit_nlme_laplace
-from repro.stats.nlme import fit_nlme
-from repro.stats.simulate import simulate_dataset
 
 FITTER_NAMES = ("exact-ml", "laplace", "fixed-effects")
 
@@ -46,6 +42,11 @@ def _fit_weights(fitter: str, data: GroupedData, *, fast: bool) -> np.ndarray:
     start / fewer quadrature nodes), mirroring how ``bootstrap_sigma``
     refits replicates with ``n_random_starts=1``.
     """
+    # Imported here so ``repro.gen`` (corpus generation) never loads scipy.
+    from repro.stats.fixedeffects import fit_fixed_effects
+    from repro.stats.laplace import fit_nlme_laplace
+    from repro.stats.nlme import fit_nlme
+
     if fitter == "exact-ml":
         return np.asarray(
             fit_nlme(data, n_random_starts=1 if fast else 2).weights)
@@ -171,6 +172,8 @@ def run_recovery_study(
     roughly two orders of magnitude more than an exact-ML refit — pass
     ``bootstrap_fitters=FITTER_NAMES`` explicitly to pay for all three.
     """
+    from repro.stats.simulate import simulate_dataset
+
     for fitter in fitters:
         if fitter not in FITTER_NAMES:
             raise ValueError(f"unknown fitter {fitter!r}")

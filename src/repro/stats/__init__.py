@@ -25,58 +25,51 @@ in Appendix A of the paper.  It provides:
   exact-ML -> Laplace/AGHQ -> fixed effects, with degradation recorded.
 """
 
-from repro.stats.bootstrap import BootstrapResult, bootstrap_sigma
-from repro.stats.criteria import FitCriteria, aic, bic, compare_fits
-from repro.stats.fixedeffects import FixedEffectsFit, fit_fixed_effects
-from repro.stats.grouping import GroupedData
-from repro.stats.laplace import LaplaceFit, fit_nlme_laplace
-from repro.stats.lognormal import (
-    LognormalSpec,
-    confidence_factors,
-    confidence_interval,
-    lognormal_mean,
-    lognormal_median,
-    lognormal_mode,
-    lognormal_pdf,
-    median_to_mean_factor,
-)
-from repro.stats.nlme import NlmeFit, fit_nlme
-from repro.stats.robust import (
-    ConvergenceReport,
-    RetryPolicy,
-    RobustFitResult,
-    fit_nlme_robust,
-    verify_nlme_convergence,
-)
-from repro.stats.simulate import SyntheticDataset, simulate_dataset
+import importlib
 
-__all__ = [
-    "BootstrapResult",
-    "ConvergenceReport",
-    "FitCriteria",
-    "FixedEffectsFit",
-    "GroupedData",
-    "LaplaceFit",
-    "LognormalSpec",
-    "NlmeFit",
-    "RetryPolicy",
-    "RobustFitResult",
-    "SyntheticDataset",
-    "aic",
-    "bic",
-    "bootstrap_sigma",
-    "compare_fits",
-    "confidence_factors",
-    "confidence_interval",
-    "fit_fixed_effects",
-    "fit_nlme",
-    "fit_nlme_laplace",
-    "fit_nlme_robust",
-    "lognormal_mean",
-    "lognormal_median",
-    "lognormal_mode",
-    "lognormal_pdf",
-    "median_to_mean_factor",
-    "simulate_dataset",
-    "verify_nlme_convergence",
-]
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562): only the fitters pull in scipy, and only when used.
+_EXPORTS = {
+    "BootstrapResult": "repro.stats.bootstrap",
+    "ConvergenceReport": "repro.stats.robust",
+    "FitCriteria": "repro.stats.criteria",
+    "FixedEffectsFit": "repro.stats.fixedeffects",
+    "GroupedData": "repro.stats.grouping",
+    "LaplaceFit": "repro.stats.laplace",
+    "LognormalSpec": "repro.stats.lognormal",
+    "NlmeFit": "repro.stats.nlme",
+    "RetryPolicy": "repro.stats.robust",
+    "RobustFitResult": "repro.stats.robust",
+    "SyntheticDataset": "repro.stats.simulate",
+    "aic": "repro.stats.criteria",
+    "bic": "repro.stats.criteria",
+    "bootstrap_sigma": "repro.stats.bootstrap",
+    "compare_fits": "repro.stats.criteria",
+    "confidence_factors": "repro.stats.lognormal",
+    "confidence_interval": "repro.stats.lognormal",
+    "fit_fixed_effects": "repro.stats.fixedeffects",
+    "fit_nlme": "repro.stats.nlme",
+    "fit_nlme_laplace": "repro.stats.laplace",
+    "fit_nlme_robust": "repro.stats.robust",
+    "lognormal_mean": "repro.stats.lognormal",
+    "lognormal_median": "repro.stats.lognormal",
+    "lognormal_mode": "repro.stats.lognormal",
+    "lognormal_pdf": "repro.stats.lognormal",
+    "median_to_mean_factor": "repro.stats.lognormal",
+    "simulate_dataset": "repro.stats.simulate",
+    "verify_nlme_convergence": "repro.stats.robust",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

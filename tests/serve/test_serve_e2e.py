@@ -7,6 +7,7 @@ error contract mirrors the CLI's exit codes (degraded -> 422, with the
 same rendered hints the CLI prints); SIGTERM drains in-flight work.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -23,7 +24,8 @@ import pytest
 from repro import obs
 from repro.cache import SynthesisCache
 from repro.core.engine import Engine
-from repro.core.engine import Engine
+from repro.core.estimator import DesignEffortEstimator
+from repro.data.paper import paper_dataset
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -251,24 +253,36 @@ class TestErrorContract:
             assert lo < payload["median"] < hi
 
 
+class TestFreshDaemon:
+    def test_first_request_estimate_alongside_measure(self):
+        """A fresh daemon has not imported the fitter or scipy: /estimate,
+        its first request, loads them on the dispatcher thread while a
+        concurrent /measure forks a pool worker."""
+        metrics = {"Stmts": 1000, "FanInLC": 500}
+        with _daemon() as (_proc, port):
+            with ThreadPoolExecutor(2) as clients:
+                estimate = clients.submit(
+                    _raw_request, port, {"metrics": metrics}, "POST",
+                    "/estimate",
+                )
+                _await_inflight(port, estimate.done)
+                measure = clients.submit(
+                    _raw_request, port, _measure_body("adder"))
+                e_status, e_payload = estimate.result(timeout=120)
+                m_status, m_payload = measure.result(timeout=120)
+        assert (e_status, m_status) == (200, 200)
+        assert m_payload["verdict"] == "ok"
+        est = DesignEffortEstimator.fit(
+            paper_dataset(), sorted(metrics), robust=True)
+        assert e_payload["median"] == est.estimate(metrics)
+        assert e_payload["interval"] == list(est.interval(metrics))
+
+
 class TestDrain:
     def test_sigterm_drains_inflight_requests(self, tmp_path):
         plan = tmp_path / "chaos.json"
         plan.write_text(json.dumps({"slowpoke": ["slow", 2.0]}))
-        env = dict(os.environ)
-        repo_src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--no-cache", "--chaos", str(plan),
-                "--grace", "60",
-            ],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            banner = proc.stdout.readline().strip()
-            port = int(banner.rsplit(":", 1)[1])
+        with _daemon("--chaos", str(plan), "--grace", "60") as (proc, port):
             body = _measure_body("adder")
             body["name"] = "slowpoke"  # chaos plan keys on the task label
 
@@ -280,14 +294,7 @@ class TestDrain:
             client = threading.Thread(target=_slow_request)
             client.start()
             # Wait until the slow request is actually in flight server-side.
-            deadline = time.time() + 30
-            while time.time() < deadline:
-                status, payload = _raw_request(port, None, "GET", "/healthz")
-                if payload.get("inflight", 0) >= 1:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("slow request never became in-flight")
+            _await_inflight(port)
 
             proc.send_signal(signal.SIGTERM)
             client.join(timeout=90)
@@ -296,10 +303,37 @@ class TestDrain:
             assert status == 200  # drained, not dropped
             assert payload["verdict"] == "ok"
             assert proc.wait(timeout=60) == 0  # clean drain: EXIT_OK
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=30)
+
+
+@contextlib.contextmanager
+def _daemon(*args: str):
+    """A ``python -m repro serve`` subprocess; yields (process, port)."""
+    env = dict(os.environ)
+    repo_src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-cache",
+         *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        banner = proc.stdout.readline().strip()
+        yield proc, int(banner.rsplit(":", 1)[1])
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=30)
+
+
+def _await_inflight(port: int, done=lambda: False) -> None:
+    """Poll /healthz until a request is in flight (or ``done()``)."""
+    deadline = time.time() + 30
+    while time.time() < deadline:
+        _status, payload = _raw_request(port, None, "GET", "/healthz")
+        if payload.get("inflight", 0) >= 1 or done():
+            return
+        time.sleep(0.05)
+    pytest.fail("request never became in-flight")
 
 
 def _raw_request(port, body, method="POST", path="/measure"):
