@@ -64,7 +64,7 @@ def run_accounting_ablation(
 
     Pre-measured datasets can be injected (the benchmarks cache them); by
     default the bundled designs are measured on the fly -- ``jobs``/``cache``
-    (see :mod:`repro.parallel` / :mod:`repro.cache`) speed that path up.
+    (see :mod:`repro.exec.pool` / :mod:`repro.cache`) speed that path up.
     """
     if with_dataset is None:
         with_dataset = measured_dataset(

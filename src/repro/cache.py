@@ -139,12 +139,36 @@ _LINT = _Namespace(
 _NAMESPACES = (_SYNTH, _MEASURE, _LINT)
 
 
+def measure_task_key(spec, strict: bool = False, lint: bool = False) -> str:
+    """Content-addressed key of one component-measurement task.
+
+    Folds in the pipeline version salt, the component's sources, top,
+    accounting policy, and the flags that change the result -- so the
+    memo and a resumed journal only reuse outcomes that would be
+    recomputed identically.
+    """
+    from repro.exec.journal import content_key
+
+    parts = [
+        SALT,
+        "measure-task",
+        spec.name,
+        spec.top,
+        repr(spec.policy),
+        f"strict={bool(strict)}",
+        f"lint={bool(lint)}",
+    ]
+    for source in spec.sources:
+        parts.append(f"{source.name}\x00{source.text}")
+    return content_key(*parts)
+
+
 @dataclass(frozen=True)
 class SynthesisCache:
     """A content-addressed synthesis-report cache rooted at ``directory``.
 
     The object is a picklable value (a path plus the salt), so pool workers
-    (:mod:`repro.parallel`) can carry it across process boundaries and
+    (:mod:`repro.exec.pool`) can carry it across process boundaries and
     share one on-disk key space; stores are atomic (write-to-temp + rename)
     which makes concurrent writers safe -- last writer wins with identical
     content.
@@ -217,8 +241,6 @@ class SynthesisCache:
         memo hit is exactly a journal skip that survives across runs
         without a journal file.
         """
-        from repro.parallel import measure_task_key
-
         return measure_task_key(spec, strict, lint)
 
     def load_measurement(self, key: str):

@@ -60,7 +60,7 @@ if TYPE_CHECKING:
     from repro.cache import SynthesisCache
     from repro.core.estimator import DesignEffortEstimator
     from repro.data.dataset import EffortDataset
-    from repro.exec import RunJournal, SupervisionPolicy
+    from repro.exec import RunJournal, SupervisionPolicy, WorkerContext
     from repro.lint.engine import LintReport
     from repro.lint.rules import LintConfig
 
@@ -351,17 +351,19 @@ class Engine:
         # recompute-per-occurrence behavior exactly).
         failed: dict[SpecKey, tuple[Diagnostic, ...]] = {}
         if self.jobs > 1 and len(to_compute) > 1:
-            from repro.parallel import synthesize_specializations
+            from repro.exec.pool import run_pool
 
-            outcomes = synthesize_specializations(
-                design,
-                [(m, p) for _, m, p in to_compute],
-                label=label,
-                jobs=self.jobs,
-                strict=strict,
-                supervision=self.supervision,
+            work = tuple((m, p) for _, m, p in to_compute)
+            outcomes = run_pool(
+                _synthesize_step,
+                {"design": design, "work": work, "label": label,
+                 "strict": strict},
+                [f"{label}:{m}" for m, _ in work],
+                kind="s", jobs=self.jobs, supervision=self.supervision,
                 journal=self.journal,
-                source_texts=source_texts,
+                key=lambda i: synthesis_task_key(
+                    source_texts, *work[i], strict
+                ),
             )
             for (key, _m, _p), outcome in zip(to_compute, outcomes):
                 if outcome.error is not None:
@@ -459,8 +461,17 @@ class Engine:
         forces the pool even for a single component (the serve daemon
         wants worker isolation for all untrusted input); ``False`` forces
         the inline sequential path.  All three produce byte-identical
-        results, in ``specs`` order.
+        results, in ``specs`` order.  Results are keyed by component
+        name, so a name repeated in ``specs`` raises ``ValueError``.
         """
+        seen: set[str] = set()
+        for spec in specs:
+            if spec.name in seen:
+                raise ValueError(
+                    f"component name {spec.name!r} appears more than once "
+                    "in one batch; batch results are keyed by name"
+                )
+            seen.add(spec.name)
         use_pool = (
             self.jobs > 1 and len(specs) > 1 if pool is None else pool
         )
@@ -478,13 +489,7 @@ class Engine:
                     continue
             misses.append(spec)
         if use_pool and misses:
-            from repro.parallel import measure_components_parallel
-
-            fresh = measure_components_parallel(
-                misses, strict=strict, jobs=self.jobs, cache=self.cache,
-                lint=lint, supervision=self.supervision,
-                journal=self.journal,
-            )
+            fresh = self._measure_in_pool(misses, strict, lint)
         else:
             fresh = {
                 spec.name: self.measure_component_safe(
@@ -501,6 +506,48 @@ class Engine:
         return BatchMeasurement(
             results={s.name: results[s.name] for s in specs if s.name in results}
         )
+
+    def _measure_in_pool(
+        self,
+        specs: Sequence[ComponentSpec],
+        strict: bool,
+        lint: bool,
+    ) -> dict[str, Result[ComponentMeasurement]]:
+        """The pool path of :meth:`measure_components`: one task per spec.
+
+        Workers reach ``self.cache`` for per-specialization synthesis
+        products.  A spec whose task the supervisor quarantines (it kept
+        hanging, crashing, or exhausting its worker) comes back as a
+        failed ``Result`` carrying the stage-``"exec"`` diagnostic.  Only
+        strict mode lets an exception out of a worker; the first in
+        batch order is re-raised, matching sequential fail-fast.
+        """
+        from repro.cache import measure_task_key
+        from repro.exec.pool import run_pool
+
+        specs = tuple(specs)
+        with obs_trace.span(
+            "measure.batch", components=len(specs), jobs=self.jobs
+        ):
+            outcomes = run_pool(
+                _measure_step,
+                {"specs": specs, "strict": strict, "lint": lint,
+                 "cache": self.cache},
+                [spec.name for spec in specs],
+                kind="b", jobs=self.jobs, supervision=self.supervision,
+                journal=self.journal,
+                key=lambda i: measure_task_key(specs[i], strict, lint),
+            )
+        for outcome in outcomes:
+            if outcome.error is not None:
+                raise outcome.error
+        return {
+            spec.name: (
+                outcome.value if outcome.value is not None
+                else Result(None, outcome.diagnostics)
+            )
+            for spec, outcome in zip(specs, outcomes)
+        }
 
     def measure_catalog(
         self,
@@ -598,3 +645,58 @@ class Engine:
             "cache": None if self.cache is None else str(self.cache.directory),
             "cached_fits": len(self._estimators),
         }
+
+
+# -- pool steps (module-level: they travel to workers by reference) ----------
+
+
+def _measure_step(
+    inputs: "WorkerContext", index: int
+) -> tuple[Result[ComponentMeasurement], tuple[()]]:
+    """Worker side of :meth:`Engine._measure_in_pool`: measure spec ``index``."""
+    spec = inputs["specs"][index]
+    result = Engine(cache=inputs["cache"]).measure_component_safe(
+        spec.sources,
+        spec.top,
+        name=spec.name,
+        policy=spec.policy,
+        strict=inputs["strict"],
+        lint=inputs["lint"],
+    )
+    return result, ()
+
+
+def _synthesize_step(
+    inputs: "WorkerContext", index: int
+) -> tuple[SynthesisReport | None, tuple[Diagnostic, ...]]:
+    """Worker side of the specialization sweep: synthesize item ``index``."""
+    module, params = inputs["work"][index]
+    return synthesize_specialization(
+        inputs["design"], module, params, inputs["label"], inputs["strict"]
+    )
+
+
+def synthesis_task_key(
+    source_texts: Sequence[str],
+    module: str,
+    params: Mapping[str, int],
+    strict: bool,
+) -> str:
+    """Content-addressed journal key of one specialization-synthesis task.
+
+    The constant ``safe=True`` part is kept from when a second, raising
+    synthesis path existed, so journals written back then still resume.
+    """
+    from repro.cache import SALT
+    from repro.exec.journal import content_key
+
+    parts = [
+        SALT,
+        "synthesis-task",
+        module,
+        "safe=True",
+        f"strict={bool(strict)}",
+    ]
+    parts.extend(f"{name}={int(value)}" for name, value in sorted(params.items()))
+    parts.extend(source_texts)
+    return content_key(*parts)

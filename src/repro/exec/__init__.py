@@ -1,24 +1,24 @@
 """Supervised execution: the fault-surviving engine under ``--jobs N``.
 
-``repro.parallel`` grew up: where the original module wrapped a bare
-:class:`~concurrent.futures.ProcessPoolExecutor` (one hung or OOM-killed
-worker poisoned the whole pool), this package runs every parallel batch
-under a :class:`Supervisor` that enforces per-task deadlines, kills and
-respawns hung workers, retries transient failures with exponential
-backoff + jitter, quarantines poison tasks as structured diagnostics,
-applies optional per-worker memory ceilings, and journals completed work
-so an interrupted run resumes where it stopped.
+Every parallel batch runs under a :class:`Supervisor` that enforces
+per-task deadlines, kills and respawns hung workers, retries transient
+failures with exponential backoff + jitter, quarantines poison tasks as
+structured diagnostics, applies optional per-worker memory ceilings, and
+journals completed work so an interrupted run resumes where it stopped.
+:func:`~repro.exec.pool.run_pool` is the one driver the pipeline calls:
+it delivers a run's inputs in the :class:`WorkerContext`, sends each task
+only its index, and merges worker telemetry on join.
 
 Layering: this package depends only on :mod:`repro.obs` and
-:mod:`repro.runtime.diagnostics`; the measurement-specific task entry
-points and telemetry merging stay in :mod:`repro.parallel`, which
-delegates execution here.  See DESIGN.md section 11 for the supervision
-model and the journal format.
+:mod:`repro.runtime.diagnostics`; the measurement and lint steps live
+with the code they serve (:mod:`repro.core.engine`,
+:mod:`repro.lint.engine`) and travel to workers by reference.  See
+DESIGN.md section 11 for the supervision model and the journal format.
 """
 
-from repro.exec.blobs import BlobError, BlobRef, BlobStore
 from repro.exec.journal import JOURNAL_VERSION, RunJournal, content_key
 from repro.exec.policy import SupervisionPolicy
+from repro.exec.pool import run_pool
 from repro.exec.supervisor import (
     AUTO_CHUNK_CAP,
     QUARANTINE_HINT,
@@ -45,9 +45,6 @@ from repro.exec.workers import (
 
 __all__ = [
     "AUTO_CHUNK_CAP",
-    "BlobError",
-    "BlobRef",
-    "BlobStore",
     "JOURNAL_VERSION",
     "QUARANTINE_HINT",
     "RunInterrupted",
@@ -64,6 +61,7 @@ __all__ = [
     "interrupt_requested",
     "request_interrupt",
     "require_worker_context",
+    "run_pool",
     "run_traced_task",
     "using_context",
     "worker_context",

@@ -8,8 +8,8 @@ file, skips every journaled key without dispatching it, and appends only
 the newly finished work.
 
 Keys are content-addressed by the caller (see
-:func:`repro.parallel.measure_task_key` and the specialization keys in
-:mod:`repro.core.workflow`), so the journal layers on the same
+:func:`repro.cache.measure_task_key` and
+:func:`repro.core.engine.synthesis_task_key`), so the journal layers on the same
 no-invalidation property as the synthesis cache: edit a source file and
 its tasks simply stop matching.
 

@@ -29,11 +29,6 @@ without chasing keyword arguments through the stack:
 * **Progress** -- ``progress`` names a writable text stream for the live
   heartbeat line (tasks done, rate, ETA) the monitor loop repaints every
   ``progress_interval_s``; ``None`` (the default) stays silent.
-* **Attribution** -- ``task_spans`` controls whether each attempt is
-  recorded as an ``exec.task`` span on the active tracer (queue wait,
-  pickle/unpickle cost, byte counts, outcome); see
-  :mod:`repro.obs.attrib`.  On by default: recording is a dict append,
-  and it only happens when a tracer is active anyway.
 """
 
 from __future__ import annotations
@@ -80,10 +75,6 @@ class SupervisionPolicy:
     #: :func:`repro.runtime.faultinject.apply_worker_fault` inside the
     #: worker.  Test-only; ``None`` in production.
     chaos: Mapping[str, tuple] | None = field(default=None, hash=False)
-    #: Record one ``exec.task`` span per attempt (plus ``exec.spawn`` per
-    #: worker start) on the active tracer -- the raw material of
-    #: ``ucomplexity profile``.  No-op when no tracer is active.
-    task_spans: bool = True
     #: Writable text stream for the live heartbeat line (``--progress``);
     #: ``None`` disables it.
     progress: Any | None = field(default=None, hash=False, compare=False)

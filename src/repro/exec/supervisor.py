@@ -2,7 +2,7 @@
 
 :class:`Supervisor.run` executes one homogeneous batch of tasks over a
 pool of :mod:`repro.exec.workers` processes and owns every failure mode
-the bare executor in :mod:`repro.parallel` could not:
+a bare process-pool executor cannot:
 
 * **Hung workers.**  Each attempt runs under the policy deadline; a
   worker still busy past it is killed and replaced, and the task is
@@ -312,7 +312,7 @@ class Supervisor:
         # monotonic clock but recorded on the tracer's timeline; this pins
         # the two clocks together once so every recorded instant lands at
         # its true position relative to the stack-managed spans.
-        tracer = obs_trace.active() if policy.task_spans else None
+        tracer = obs_trace.active()
         mono_epoch = time.monotonic()
         trace_epoch = tracer.now() if tracer is not None else 0.0
 

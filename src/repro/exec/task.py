@@ -10,8 +10,7 @@ observability payload.  Anything that *escapes* a task function -- a
 bug -- is the supervisor's business (retry, backoff, quarantine), not the
 caller's.
 
-These classes started life in :mod:`repro.parallel` (which re-exports
-them for compatibility) and moved here so the supervised execution layer
+These classes live here so the supervised execution layer
 (:mod:`repro.exec.supervisor`) can depend on them without importing the
 measurement pipeline.
 """
@@ -42,8 +41,8 @@ class WorkerContext:
     :func:`repro.exec.workers.worker_context`.
 
     ``values`` is an immutable mapping of whatever the task family needs
-    (e.g. a :class:`~repro.exec.blobs.BlobStore`, strict/lint flags, the
-    run's trace namespace).  ``preload`` names modules the worker imports
+    (e.g. the run's specs or design, strict/lint flags, the run's trace
+    namespace).  ``preload`` names modules the worker imports
     eagerly at startup so the first task does not pay import cost.
     """
 

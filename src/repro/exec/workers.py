@@ -19,10 +19,9 @@ pool instead of leaving orphaned processes behind.
 **Warm-pool contract.**  Workers spawn once per supervised run and stay
 warm: a :class:`~repro.exec.task.WorkerContext` delivered at spawn (under
 the default ``fork`` start method it is inherited copy-on-write, never
-pickled) carries the run-invariant state -- cache handles, strictness
-flags, a :class:`~repro.exec.blobs.BlobStore` of heavy shared objects --
-and ``preload`` modules are imported before the first task so no attempt
-pays import cost.  Task functions read it back with
+pickled) carries the run-invariant state -- the run's inputs, cache
+handles, strictness flags -- and ``preload`` modules are imported before
+the first task so no attempt pays import cost.  Task functions read it back with
 :func:`worker_context`; the parent's inline-fallback path installs the
 same context around in-process execution via :func:`using_context`, so a
 task function behaves identically in both places.

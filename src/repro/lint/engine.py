@@ -6,7 +6,8 @@ Layering (bottom up):
   design, plus its :func:`~repro.lint.hashing.structural_hash`; returns a
   picklable :class:`ModuleLintResult` (the parallel unit of work).
 * :func:`lint_design` -- every module of an already-parsed design, fanned
-  out over :func:`repro.parallel.lint_modules_parallel` when ``jobs > 1``,
+  out over the supervised pool (:func:`repro.exec.pool.run_pool`) when
+  ``jobs > 1``,
   then the catalog-scope duplicate check (ACC001) over the collected
   hashes.  Severity overrides and baseline suppressions from the
   :class:`~repro.lint.config.LintConfig` are applied here.
@@ -41,7 +42,7 @@ from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
 
 if TYPE_CHECKING:
-    from repro.exec import SupervisionPolicy
+    from repro.exec import SupervisionPolicy, WorkerContext
 
 
 @dataclass(frozen=True)
@@ -281,11 +282,8 @@ def lint_design(
                 else:
                     to_compute.append(name)
         if jobs > 1 and len(to_compute) > 1:
-            from repro.parallel import lint_modules_parallel
-
-            computed = lint_modules_parallel(
-                design, to_compute, config, jobs, supervision=supervision
-            )
+            computed = _lint_in_pool(design, to_compute, config, jobs,
+                                     supervision)
         else:
             computed = [lint_module(design, n, config) for n in to_compute]
         for name, result in zip(to_compute, computed):
@@ -294,6 +292,50 @@ def lint_design(
                 cache.store_lint(keys[name], result)  # type: ignore[attr-defined]
         results = [by_name[n] for n in names]
         return _assemble(results, extra_errors, config, files)
+
+
+def _lint_in_pool(
+    design: ast.Design,
+    names: Sequence[str],
+    config: LintConfig,
+    jobs: int,
+    supervision: SupervisionPolicy | None,
+) -> list[ModuleLintResult]:
+    """The pool path of :func:`lint_design`: one task per module.
+
+    A module whose task the supervisor quarantines comes back with the
+    supervisor's diagnostic in its ``errors`` (the report's exit code
+    already maps errors to 2).  :func:`lint_module` quarantines rule
+    crashes itself, so an exception that escapes a worker is an engine
+    bug and is raised.
+    """
+    from repro.exec.pool import run_pool
+
+    names = tuple(names)
+    with obs_trace.span("lint.batch", modules=len(names), jobs=jobs):
+        outcomes = run_pool(
+            _lint_step, {"design": design, "names": names, "config": config},
+            names, kind="l", jobs=jobs, supervision=supervision,
+        )
+    results: list[ModuleLintResult] = []
+    for name, outcome in zip(names, outcomes):
+        if outcome.error is not None:
+            raise outcome.error
+        results.append(
+            outcome.value if outcome.value is not None
+            else ModuleLintResult(module=name, file="", hash="", findings=(),
+                                  errors=outcome.diagnostics)
+        )
+    return results
+
+
+def _lint_step(
+    inputs: WorkerContext, index: int
+) -> tuple[ModuleLintResult, tuple[()]]:
+    """Worker side of :func:`_lint_in_pool`: lint module ``index``."""
+    return lint_module(
+        inputs["design"], inputs["names"][index], inputs["config"]
+    ), ()
 
 
 def lint_sources(

@@ -176,7 +176,7 @@ class MetricsRegistry:
         Counters add, histograms re-observe every raw value, and gauges
         (last-write-wins by definition) take the worker's value.  This is
         the join-side half of the worker-snapshot contract used by
-        :mod:`repro.parallel`: process-local instruments bumped in a pool
+        :mod:`repro.exec.pool`: process-local instruments bumped in a pool
         worker are never silently dropped.
         """
         with self._lock:

@@ -21,7 +21,8 @@ from repro.core.workflow import ComponentSpec
 from repro.designs.loader import load_sources
 from repro.exec import SupervisionPolicy
 from repro.hdl.source import SourceFile
-from repro.parallel import synthesis_task_key
+from repro.core.engine import synthesis_task_key
+from repro.obs import metrics as obs_metrics
 from repro.runtime.faultinject import truncate_source
 from tests.core.test_golden_measure import INLINE, digest
 
@@ -211,6 +212,25 @@ class TestStrictQuarantine:
             "2139b7d45c2953179ba3e0a8a9a808d403cf0ca403f623875d52e5d351cc31cf"
         )
 
+    @pytest.mark.parametrize(("strict", "lint", "expected"), [
+        (False, False,
+         "f0ec09ed9394a9ad77b9897e44a39e7cd900fe8a69a3ae372e7894e5a29c0c75"),
+        (True, True,
+         "13d9a39ea394fba1491aa6f1f3e072b12c30fe131d6ae4018cf1017086099da2"),
+    ])
+    def test_measurement_key_is_unchanged(self, tmp_path, monkeypatch,
+                                          strict, lint, expected):
+        # The memo and the journal share this key: a changed formula
+        # would silently turn every existing cache entry into a miss.
+        monkeypatch.setattr(
+            "repro.cache.SALT", "ucx-cache1|verilog1|vhdl1|elab1|synth2|flow2"
+        )
+        spec = ComponentSpec(
+            "m", (SourceFile("m.v", "module m; endmodule"),), "m"
+        )
+        key = SynthesisCache(tmp_path).measurement_key(spec, strict, lint)
+        assert key == expected
+
     @pytest.mark.chaos
     def test_strict_raises_on_supervisor_quarantine(self):
         policy = SupervisionPolicy(
@@ -228,3 +248,18 @@ class TestStrictQuarantine:
             engine.measure_component_safe(
                 [_HIER], "top_adder", name="adder", strict=True
             )
+
+
+class TestDuplicateNames:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeated_name_raises_before_any_work(self, tmp_path, jobs):
+        cache = SynthesisCache(tmp_path / "cache")
+        specs = [
+            ComponentSpec("c", (_ADDER,), "top_adder"),
+            ComponentSpec("c", (_MUX,), "top_mux"),
+        ]
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.using(registry), \
+                pytest.raises(ValueError, match="'c'"):
+            Engine(cache=cache, jobs=jobs).measure_components(specs)
+        assert "cache.measure_misses" not in registry.dump()["counters"]

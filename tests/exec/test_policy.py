@@ -95,7 +95,6 @@ class TestProgressAndSpanKnobs:
 
         policy = SupervisionPolicy()
         assert policy.progress is None
-        assert policy.task_spans is True
         with pytest.raises(ValueError, match="progress_interval_s"):
             SupervisionPolicy(progress_interval_s=0.0)
 

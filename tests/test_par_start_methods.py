@@ -1,0 +1,95 @@
+"""Tier-2 ``-m par``: pooled runs are byte-identical under each start method.
+
+A pool run's inputs reach its workers only through the worker context,
+which ``fork`` inherits but ``forkserver`` and ``spawn`` pickle once per
+worker.  A fresh interpreter per start method therefore checks that a
+jobs=2 batch measurement, specialization sweep and lint equal their
+jobs=1 results to the byte.  The sweep is equal in value to jobs=1 and
+byte-identical to the ``fork`` pool's pinned pickle.  ``forkserver`` is
+the default start method on Linux from Python 3.14 on.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tests.core.test_golden_measure import POOL
+
+pytestmark = pytest.mark.par
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_RUN = """
+import hashlib, multiprocessing, pickle, sys
+multiprocessing.set_start_method(sys.argv[1])
+
+from repro.core.engine import Engine
+from repro.designs.catalog import component_specs
+from repro.designs.loader import load_sources
+from repro.gen import corpus_specs, generate_corpus
+from repro.hdl.source import VERILOG, VHDL
+from repro.lint import lint_sources
+from repro.obs import metrics as obs_metrics
+
+dispatched = obs_metrics.counter("exec.dispatched")
+
+def same(run):
+    # Pickled part by part: equal values unpickled in the parent no
+    # longer share string objects, which changes a whole-object pickle.
+    sequential = [pickle.dumps(part) for part in run(1)]
+    before = dispatched.value
+    pooled = [pickle.dumps(part) for part in run(2)]
+    return pooled == sequential and dispatched.value > before
+
+specs = corpus_specs(generate_corpus(VERILOG, 2, seed=5)
+                     + generate_corpus(VHDL, 2, seed=6))
+spec = next(s for s in component_specs() if s.label == "Leon3-Cache")
+sources = load_sources(spec)
+
+def lint(jobs):
+    report = lint_sources(
+        [s for g in specs for s in g.sources] + list(sources), jobs=jobs)
+    return [*report.findings, *report.suppressed, *report.errors,
+            report.modules, report.files]
+
+def sweep():
+    # A pooled measurement shares fewer objects than an inline one, so
+    # its pickle is pinned separately (POOL in test_golden_measure).
+    inline = Engine(jobs=1).measure_component(
+        sources, spec.top, name=spec.label)
+    before = dispatched.value
+    pooled = Engine(jobs=2).measure_component(
+        sources, spec.top, name=spec.label)
+    digest = hashlib.sha256(pickle.dumps(pooled, protocol=4)).hexdigest()
+    return (pooled == inline and digest == sys.argv[2]
+            and dispatched.value > before)
+
+checks = {
+    "batch": same(lambda j: Engine(jobs=j).measure_components(
+        specs).results.values()),
+    "sweep": sweep(),
+    "lint": same(lint),
+}
+print(multiprocessing.get_start_method(), checks)
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pool_equals_sequential(method):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN, method, POOL["Leon3-Cache"]],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == (
+        f"{method} {{'batch': True, 'sweep': True, 'lint': True}}"
+    )
