@@ -946,10 +946,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Imported before the tracer's clock starts: a cold import here would
+    # sit in the trace's elapsed time but in no span.
+    from repro.exec import RunInterrupted
+
     tracer = obs.Tracer()
     obs.reset_metrics()
     obs.activate(tracer)
-    from repro.exec import RunInterrupted
 
     try:
         try:

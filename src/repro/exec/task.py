@@ -42,12 +42,10 @@ class WorkerContext:
 
     ``values`` is an immutable mapping of whatever the task family needs
     (e.g. the run's specs or design, strict/lint flags, the run's trace
-    namespace).  ``preload`` names modules the worker imports
-    eagerly at startup so the first task does not pay import cost.
+    namespace).
     """
 
     values: Mapping[str, Any] = field(default_factory=dict)
-    preload: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # Freeze the mapping so sharing one context across workers is safe.
@@ -61,11 +59,10 @@ class WorkerContext:
 
     # MappingProxyType is unpicklable; ship the plain dict instead.
     def __getstate__(self) -> dict:
-        return {"values": dict(self.values), "preload": self.preload}
+        return {"values": dict(self.values)}
 
     def __setstate__(self, state: dict) -> None:
         object.__setattr__(self, "values", MappingProxyType(state["values"]))
-        object.__setattr__(self, "preload", state["preload"])
 
 
 @dataclass

@@ -20,8 +20,7 @@ pool instead of leaving orphaned processes behind.
 warm: a :class:`~repro.exec.task.WorkerContext` delivered at spawn (under
 the default ``fork`` start method it is inherited copy-on-write, never
 pickled) carries the run-invariant state -- the run's inputs, cache
-handles, strictness flags -- and ``preload`` modules are imported before
-the first task so no attempt pays import cost.  Task functions read it back with
+handles, strictness flags.  Task functions read it back with
 :func:`worker_context`; the parent's inline-fallback path installs the
 same context around in-process execution via :func:`using_context`, so a
 task function behaves identically in both places.
@@ -52,7 +51,6 @@ attribution stays meaningful.
 
 from __future__ import annotations
 
-import importlib
 import multiprocessing as mp
 import os
 import pickle
@@ -90,22 +88,13 @@ def require_worker_context() -> WorkerContext:
 
 
 def _install_context(context: WorkerContext | None) -> None:
-    """Install ``context`` process-wide and import its preload modules.
+    """Install ``context`` process-wide.
 
     Runs once at :func:`worker_main` startup and around the parent's
-    inline execution (:func:`using_context`).  Preload failures are
-    swallowed: the import would fail again (with a real traceback) the
-    moment a task needs the module.
+    inline execution (:func:`using_context`).
     """
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
-    if context is None:
-        return
-    for name in context.preload:
-        try:
-            importlib.import_module(name)
-        except Exception:  # noqa: BLE001 -- warmup only, never fatal
-            pass
 
 
 @contextmanager

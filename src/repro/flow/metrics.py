@@ -1,6 +1,6 @@
 """Dataflow metric families: logic depth, degree entropy, Laplacian spectra.
 
-These are the graph/spectral families ROADMAP item 5 calls for, scored
+These are the graph/spectral families of DESIGN.md §15, scored
 against DEE1 by the cross-validation harness.  Three sources:
 
 * **logic-depth distribution** -- levelized unit-delay depths of the

@@ -3,8 +3,8 @@
 The convergence verdicts of :mod:`repro.stats.robust` say *whether* a fit
 converged; a :class:`FitTrace` shows *how*: one :class:`FitIteration` row
 per optimizer iteration with the objective value (negative log-likelihood
-for the likelihood fitters), the finite-difference gradient norm, and the
-step length.  Non-convergence reports can then point at trajectories --
+for the likelihood fitters), the norm of the fitter's exact gradient, and
+the step length.  Non-convergence reports can then point at trajectories --
 "the objective plateaued at iteration 12 with |grad| still 1e-1" -- instead
 of bare verdicts.
 
@@ -16,7 +16,6 @@ and mirrors every row into the active tracer as a ``fit_iter`` event so
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,10 +49,9 @@ class FitTrace:
             "fixed-effects").
         objective_is_nll: whether ``-objective`` is a log-likelihood;
             controls the ``loglik`` field of emitted trace events.
-        record_gradients: compute a central finite-difference gradient norm
-            each iteration (2k extra objective evaluations per iteration).
+        record_gradients: record the norm of the gradient the watched
+            objective returns (see :meth:`watch`).
         emit: mirror rows into the active tracer as ``fit_iter`` events.
-        grad_step: finite-difference step for the gradient norm.
     """
 
     def __init__(
@@ -62,13 +60,11 @@ class FitTrace:
         objective_is_nll: bool = True,
         record_gradients: bool = True,
         emit: bool = True,
-        grad_step: float = 1e-6,
     ) -> None:
         self.fitter = fitter
         self.objective_is_nll = objective_is_nll
         self.record_gradients = record_gradients
         self.emit = emit
-        self.grad_step = grad_step
         self.rows: list[FitIteration] = []
 
     def __len__(self) -> int:
@@ -80,18 +76,6 @@ class FitTrace:
         for row in self.rows:
             out.setdefault(row.start_index, []).append(row)
         return out
-
-    def _grad_norm(
-        self, objective: Callable[[np.ndarray], float], theta: np.ndarray
-    ) -> float:
-        h = self.grad_step
-        total = 0.0
-        for i in range(theta.shape[0]):
-            e = np.zeros_like(theta)
-            e[i] = h
-            g = (objective(theta + e) - objective(theta - e)) / (2.0 * h)
-            total += g * g
-        return math.sqrt(total)
 
     def record(
         self,
@@ -127,10 +111,15 @@ class FitTrace:
 
     def watch(
         self,
-        objective: Callable[[np.ndarray], float],
+        objective: Callable[[np.ndarray], float | tuple[float, np.ndarray]],
         start_index: int,
     ) -> Callable[..., None]:
         """A ``scipy.optimize.minimize``-compatible callback for one start.
+
+        ``objective`` returns the objective value, or a ``(value,
+        gradient)`` pair -- the function a ``jac=True`` optimizer gets.
+        Rows carry the gradient's norm when there is one and
+        ``record_gradients`` is set, and ``None`` otherwise.
 
         Works with solvers that call ``callback(xk)`` (L-BFGS-B,
         Nelder-Mead) and with those passing extra state positionally.
@@ -139,12 +128,12 @@ class FitTrace:
 
         def callback(xk: Sequence[float], *_args: object) -> None:
             theta = np.asarray(xk, dtype=float).copy()
-            value = float(objective(theta))
-            grad_norm = (
-                self._grad_norm(objective, theta)
-                if self.record_gradients
-                else None
-            )
+            value = objective(theta)
+            grad_norm = None
+            if isinstance(value, tuple):
+                value, grad = value
+                if self.record_gradients:
+                    grad_norm = float(np.linalg.norm(grad))
             prev = state["prev"]
             step = (
                 float(np.linalg.norm(theta - prev)) if prev is not None else None
@@ -153,7 +142,7 @@ class FitTrace:
                 start_index=start_index,
                 iteration=state["iteration"],
                 theta=theta,
-                objective_value=value,
+                objective_value=float(value),
                 grad_norm=grad_norm,
                 step=step,
             )
@@ -173,9 +162,8 @@ def maybe_fit_trace(
 
     An explicitly passed trace always wins; otherwise a trace is created
     exactly when a tracer is active, so untraced fits pay nothing.
-    ``record_gradients=False`` is for fitters whose objective is expensive
-    enough (e.g. the quadrature marginal likelihood) that per-iteration
-    finite differences would dominate the run.
+    ``record_gradients=False`` is for fitters with no gradient of their
+    objective (e.g. the quadrature marginal likelihood).
     """
     if explicit is not None:
         return explicit

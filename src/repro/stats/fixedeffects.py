@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import optimize
@@ -26,6 +27,7 @@ from repro.obs.fittrace import FitTrace, maybe_fit_trace
 from repro.stats.criteria import FitCriteria
 from repro.stats.grouping import GroupedData
 from repro.stats.lognormal import confidence_interval
+from repro.stats.nlme import _REFINE_OPTIONS, _drop_idle_metrics
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_W_BOUNDS = (-35.0, 15.0)
@@ -75,9 +77,14 @@ class FixedEffectsFit:
         return [confidence_interval(m, self.sigma_eps, confidence) for m in medians]
 
 
-def _rss(u: np.ndarray, y: np.ndarray, metrics: np.ndarray) -> float:
-    r = y - np.log(metrics @ np.exp(u))
-    return float(r @ r)
+def _rss_and_grad(
+    u: np.ndarray, y: np.ndarray, metrics: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Residual sum of squares at log-weights ``u``, and its gradient."""
+    w = np.exp(u)
+    lin = metrics @ w
+    r = y - np.log(lin)
+    return float(r @ r), -2.0 * w * ((r / lin) @ metrics)
 
 
 def fit_fixed_effects(
@@ -111,39 +118,37 @@ def fit_fixed_effects(
             "fixed-effects", fit_trace, objective_is_nll=False
         )
 
-        def rss_at(u: np.ndarray) -> float:
-            return _rss(u, y, metrics)
-
+        objective = partial(_rss_and_grad, y=y, metrics=metrics)
         iters = obs_metrics.counter("fit.fixed-effects.iterations")
         evals = obs_metrics.counter("fit.fixed-effects.loglik_evals")
-        best: optimize.OptimizeResult | None = None
-        for start_index, u0 in enumerate(starts):
-            u0 = np.clip(u0, _LOG_W_BOUNDS[0], _LOG_W_BOUNDS[1])
+
+        def minimize(u0: np.ndarray, start_index: int, bounds, options=None):
             res = optimize.minimize(
-                _rss, u0, args=(y, metrics), method="L-BFGS-B", bounds=bounds,
+                objective, u0, jac=True, method="L-BFGS-B", bounds=bounds,
+                options=options,
                 callback=(
-                    trace_sink.watch(rss_at, start_index) if trace_sink is not None else None
+                    trace_sink.watch(objective, start_index)
+                    if trace_sink is not None else None
                 ),
             )
             iters.inc(int(getattr(res, "nit", 0)))
             evals.inc(int(getattr(res, "nfev", 0)))
+            return res
+
+        best: optimize.OptimizeResult | None = None
+        for start_index, u0 in enumerate(starts):
+            res = minimize(np.clip(u0, *_LOG_W_BOUNDS), start_index, bounds)
             if best is None or res.fun < best.fun:
                 best = res
         assert best is not None
-        polish = optimize.minimize(
-            _rss,
-            best.x,
-            args=(y, metrics),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000},
-            callback=(
-                trace_sink.watch(rss_at, len(starts)) if trace_sink is not None else None
-            ),
+        refine = minimize(
+            _drop_idle_metrics(objective, best.x, metrics, _LOG_W_BOUNDS[0]),
+            len(starts),
+            [(None, _LOG_W_BOUNDS[1])] * k,
+            _REFINE_OPTIONS,
         )
-        iters.inc(int(getattr(polish, "nit", 0)))
-        evals.inc(int(getattr(polish, "nfev", 0)))
-        if polish.fun < best.fun:
-            best = polish
+        if refine.fun < best.fun:
+            best = refine
 
     w = np.exp(best.x)
     rss = float(best.fun)

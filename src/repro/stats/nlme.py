@@ -16,14 +16,17 @@ Because the random effect enters *additively* on the log scale, the marginal
 distribution of the per-group residual vector is multivariate normal with
 compound-symmetric covariance ``sigma_eps^2 I + sigma_rho^2 J``.  Its
 determinant and inverse are closed form, so the marginal likelihood that
-``PROC NLMIXED`` approximates by quadrature is available exactly here; we
-maximize it directly with multi-start quasi-Newton optimization.
+``PROC NLMIXED`` approximates by quadrature is available exactly here, and
+so is its gradient; we maximize it directly with multi-start quasi-Newton
+optimization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -36,6 +39,7 @@ from repro.stats.grouping import GroupedData
 from repro.stats.lognormal import confidence_interval
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_EPS = math.log(np.finfo(float).eps)
 
 # Bounds on the log-scale optimization variables.  Weights in the paper's
 # fits span roughly 1e-5..1e-1 and the sigmas 0.1..3; these bounds are far
@@ -47,6 +51,11 @@ _LOG_SIGMA_BOUNDS = (-8.0, 4.0)
 # (repro.runtime.faultinject) can deterministically sabotage convergence
 # without monkeypatching scipy itself.
 _MINIMIZE = optimize.minimize
+
+# L-BFGS-B tolerances of the final refine from the best start: tight
+# enough that the exact gradient, not the stopping rule, decides where
+# the optimum is.
+_REFINE_OPTIONS = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 2000}
 
 
 @dataclass(frozen=True)
@@ -139,19 +148,33 @@ class NlmeFit:
         return [confidence_interval(m, self.sigma_eps, confidence) for m in medians]
 
 
-def _group_structure(data: GroupedData) -> list[tuple[str, np.ndarray]]:
-    return list(data.group_indices().items())
+def _team_codes(groups: tuple[str, ...]) -> np.ndarray:
+    """Each observation's team as an index into the first-appearance
+    order of :attr:`GroupedData.group_names`."""
+    index: dict[str, int] = {}
+    return np.fromiter(
+        (index.setdefault(g, len(index)) for g in groups),
+        dtype=np.intp,
+        count=len(groups),
+    )
 
 
-def _negative_loglik(
+def _nll_and_grad(
     theta: np.ndarray,
     y: np.ndarray,
     metrics: np.ndarray,
-    groups: list[tuple[str, np.ndarray]],
-) -> float:
-    """Exact negative marginal log-likelihood at ``theta``.
+    codes: np.ndarray,
+    sizes: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Exact negative marginal log-likelihood at ``theta``, and its gradient.
 
-    ``theta = (u_1..u_k, log sigma_eps, log sigma_rho)`` with ``w = exp(u)``.
+    ``theta = (u_1..u_k, log sigma_eps, log sigma_rho)`` with ``w = exp(u)``;
+    ``codes`` are the teams of the observations (:func:`_team_codes`) and
+    ``sizes`` the team sizes ``n_i``.  Per team, with ``T = s2e + n*s2r``,
+    ``S = sum r`` and ``Q = sum r^2`` over the log residuals ``r``::
+
+        2*nll_i = n*log(2*pi) + (n-1)*log(s2e) + log(T) + Q/s2e
+                  - s2r*S^2/(s2e*T)
     """
     k = metrics.shape[1]
     w = np.exp(theta[:k])
@@ -159,35 +182,92 @@ def _negative_loglik(
     s2r = math.exp(2.0 * theta[k + 1])
     lin = metrics @ w
     # w > 0 and metrics > 0 guarantee lin > 0.
-    f = np.log(lin)
-    r = y - f
-    nll = 0.0
-    for _, idx in groups:
-        ri = r[idx]
-        n_i = ri.shape[0]
-        tot = s2e + n_i * s2r
-        logdet = (n_i - 1) * math.log(s2e) + math.log(tot)
-        quad = float(ri @ ri) / s2e - (s2r / (s2e * tot)) * float(ri.sum()) ** 2
-        nll += 0.5 * (n_i * _LOG_2PI + logdet + quad)
-    return nll
+    r = y - np.log(lin)
+    n_obs = r.shape[0]
+    s = np.bincount(codes, weights=r, minlength=sizes.shape[0])
+    rr = float(r @ r)
+    tot = s2e + sizes * s2r
+    # Per-team weight of S^2 in the quadratic form.
+    c = s2r / (s2e * tot)
+    cs2 = c * s * s
+    nll = 0.5 * (
+        n_obs * _LOG_2PI
+        + (n_obs - sizes.shape[0]) * math.log(s2e)
+        + float(np.log(tot).sum())
+        + rr / s2e
+        - float(cs2.sum())
+    )
+    # d nll / d r_j, chained through r = y - log(metrics @ w).
+    g = r / s2e - (c * s)[codes]
+    grad = np.empty(k + 2)
+    grad[:k] = -w * ((g / lin) @ metrics)
+    # d nll / d log sigma = 2 * sigma^2 * d nll / d sigma^2.
+    grad[k] = (
+        n_obs - sizes.shape[0]
+        + float((s2e / tot).sum())
+        - rr / s2e
+        + float((cs2 * (tot + s2e) / tot).sum())
+    )
+    grad[k + 1] = s2r * float((sizes / tot - (s / tot) ** 2).sum())
+    return nll, grad
+
+
+def _objective(data: GroupedData) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """``theta -> (nll, gradient)`` for ``data``, team codes computed once."""
+    codes = _team_codes(data.groups)
+    return partial(
+        _nll_and_grad,
+        y=data.log_efforts,
+        metrics=data.metrics,
+        codes=codes,
+        sizes=np.bincount(codes).astype(float),
+    )
+
+
+def _drop_idle_metrics(
+    objective, theta: np.ndarray, metrics: np.ndarray, floor: float
+) -> np.ndarray:
+    """``theta`` with every metric that buys no likelihood dropped.
+
+    A metric that explains nothing beside the others has its optimum at
+    ``w -> 0``, where the objective is exponentially flat in ``log w``: a
+    gradient method stalls there with the weight still well inside the
+    box.  Each such metric, one at a time, gets the log-weight at which
+    ``w * m`` falls below rounding in every linear predictor (and at
+    least the box ``floor``) when that does not raise the objective.
+    """
+    k = metrics.shape[1]
+    best = objective(theta)[0]
+    for j in range(k):
+        others = np.exp(theta[:k])
+        others[j] = 0.0
+        lin = metrics @ others
+        if not np.all(lin > 0.0):
+            continue
+        trial = theta.copy()
+        vanish = _LOG_EPS + float(np.min(np.log(lin / metrics[:, j])))
+        trial[j] = min(theta[j], floor, vanish)
+        value = objective(trial)[0]
+        if value <= best:
+            theta, best = trial, value
+    return theta
 
 
 def _blups(
     w: np.ndarray,
     s2e: float,
     s2r: float,
-    y: np.ndarray,
-    metrics: np.ndarray,
-    groups: list[tuple[str, np.ndarray]],
+    data: GroupedData,
 ) -> dict[str, float]:
     """Empirical-Bayes estimates of the random intercepts ``b_i``."""
-    r = y - np.log(metrics @ w)
-    out: dict[str, float] = {}
-    for name, idx in groups:
-        n_i = idx.shape[0]
-        shrink = n_i * s2r / (s2e + n_i * s2r)
-        out[name] = shrink * float(r[idx].mean())
-    return out
+    r = data.log_efforts - np.log(data.metrics @ w)
+    codes = _team_codes(data.groups)
+    sizes = np.bincount(codes).astype(float)
+    means = np.bincount(codes, weights=r) / sizes
+    shrink = sizes * s2r / (s2e + sizes * s2r)
+    return {
+        name: float(b) for name, b in zip(data.group_names, shrink * means)
+    }
 
 
 def _single_metric_start(y: np.ndarray, column: np.ndarray) -> float:
@@ -256,7 +336,7 @@ def fit_nlme(
         )
     y = data.log_efforts
     metrics = data.metrics
-    groups = _group_structure(data)
+    objective = _objective(data)
     rng = np.random.default_rng(seed)
     k = metrics.shape[1]
     w_bounds = (_LOG_W_BOUNDS[0] - bounds_margin, _LOG_W_BOUNDS[1] + bounds_margin)
@@ -270,12 +350,26 @@ def fit_nlme(
         "fit.exact-ml", n_obs=data.n_observations, n_metrics=k
     ) as fit_span:
         trace_sink = maybe_fit_trace("exact-ml", fit_trace)
-
-        def nll_at(theta: np.ndarray) -> float:
-            return _negative_loglik(theta, y, metrics, groups)
-
         iters = obs_metrics.counter("fit.exact-ml.iterations")
         evals = obs_metrics.counter("fit.exact-ml.loglik_evals")
+
+        def minimize(theta0: np.ndarray, start_index: int, bounds, options=None):
+            res = _MINIMIZE(
+                objective,
+                theta0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options=options,
+                callback=(
+                    trace_sink.watch(objective, start_index)
+                    if trace_sink is not None else None
+                ),
+            )
+            iters.inc(int(getattr(res, "nit", 0)))
+            evals.inc(int(getattr(res, "nfev", 0)))
+            return res
+
         best: optimize.OptimizeResult | None = None
         start_objectives: list[float] = []
         starts = _starting_points(y, metrics, rng, n_random_starts)
@@ -283,38 +377,22 @@ def fit_nlme(
             if start_jitter > 0.0:
                 theta0 = theta0 + rng.normal(scale=start_jitter, size=theta0.shape)
             theta0 = np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds])
-            res = _MINIMIZE(
-                _negative_loglik,
-                theta0,
-                args=(y, metrics, groups),
-                method="L-BFGS-B",
-                bounds=bounds,
-                callback=(
-                    trace_sink.watch(nll_at, start_index) if trace_sink is not None else None
-                ),
-            )
-            iters.inc(int(getattr(res, "nit", 0)))
-            evals.inc(int(getattr(res, "nfev", 0)))
+            res = minimize(theta0, start_index, bounds)
             start_objectives.append(float(res.fun))
             if best is None or res.fun < best.fun:
                 best = res
         assert best is not None
-        # Polish with a derivative-free pass; L-BFGS-B with numeric gradients
-        # can stall slightly short of the optimum on flat likelihoods.
-        polish = _MINIMIZE(
-            _negative_loglik,
-            best.x,
-            args=(y, metrics, groups),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000},
-            callback=(
-                trace_sink.watch(nll_at, len(starts)) if trace_sink is not None else None
-            ),
+        # Refine the best start to tight tolerances, unbounded below like
+        # the optima it must reach: sigma_rho -> 0 for a column with no
+        # productivity spread, w -> 0 for a metric that adds nothing.
+        refine = minimize(
+            _drop_idle_metrics(objective, best.x, metrics, w_bounds[0]),
+            len(starts),
+            [(None, w_bounds[1])] * k + [(None, s_bounds[1])] * 2,
+            _REFINE_OPTIONS,
         )
-        iters.inc(int(getattr(polish, "nit", 0)))
-        evals.inc(int(getattr(polish, "nfev", 0)))
-        if polish.fun < best.fun:
-            best = polish
+        if refine.fun < best.fun:
+            best = refine
         fit_span.set_attr("n_starts", len(starts))
         fit_span.set_attr("nll", float(best.fun))
 
@@ -322,7 +400,7 @@ def fit_nlme(
     w = np.exp(theta[:k])
     sigma_eps = math.exp(theta[k])
     sigma_rho = math.exp(theta[k + 1])
-    blups = _blups(w, sigma_eps**2, sigma_rho**2, y, metrics, groups)
+    blups = _blups(w, sigma_eps**2, sigma_rho**2, data)
     return NlmeFit(
         weights=w,
         sigma_eps=sigma_eps,

@@ -6,9 +6,10 @@ fit, and a defined answer when that evidence is missing.  This module
 provides both:
 
 * :func:`verify_nlme_convergence` -- post-hoc convergence verification of
-  an exact-ML fit: first-order condition (gradient norm at the reported
-  optimum), second-order condition (finite-difference Hessian positive
-  definite), and multi-start dispersion (how many independent starts
+  an exact-ML fit: first-order condition (norm of the analytic gradient at
+  the reported optimum), second-order condition (Hessian, as central
+  differences of that gradient, positive definite), and multi-start
+  dispersion (how many independent starts
   reached the same optimum).  A near-singular Hessian also flags
   unidentifiable models, e.g. collinear metric columns.
 * :func:`fit_nlme_robust` -- the declared fallback chain::
@@ -40,8 +41,7 @@ from repro.stats.nlme import (
     _LOG_SIGMA_BOUNDS,
     _LOG_W_BOUNDS,
     NlmeFit,
-    _group_structure,
-    _negative_loglik,
+    _objective,
     fit_nlme,
 )
 
@@ -94,32 +94,19 @@ def _theta_of(fit: NlmeFit) -> np.ndarray:
     )
 
 
-def _finite_diff_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    grad = np.zeros_like(theta)
-    for i in range(theta.shape[0]):
+def _hessian_block(
+    objective, theta: np.ndarray, coords: np.ndarray, h: float = 1e-5
+) -> np.ndarray:
+    """Symmetrised Hessian of ``objective`` over ``coords``, as central
+    differences of its analytic gradient (two gradient calls per
+    coordinate)."""
+    cols = []
+    for i in coords:
         e = np.zeros_like(theta)
         e[i] = h
-        grad[i] = (f(theta + e) - f(theta - e)) / (2.0 * h)
-    return grad
-
-
-def _finite_diff_hessian(f, theta: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    n = theta.shape[0]
-    hess = np.zeros((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            val = (
-                f(theta + ei + ej)
-                - f(theta + ei - ej)
-                - f(theta - ei + ej)
-                + f(theta - ei - ej)
-            ) / (4.0 * h * h)
-            hess[i, j] = hess[j, i] = val
-    return hess
+        cols.append((objective(theta + e)[1] - objective(theta - e)[1])[coords])
+    hess = np.column_stack(cols) / (2.0 * h)
+    return (hess + hess.T) / 2.0
 
 
 def verify_nlme_convergence(
@@ -132,22 +119,16 @@ def verify_nlme_convergence(
     paper's data shows ``|grad| ~ 1e-7`` and strictly positive Hessian
     eigenvalues, so the defaults have orders of magnitude of headroom.
     """
-    y = data.log_efforts
-    metrics = data.metrics
-    groups = _group_structure(data)
-
-    def nll(theta: np.ndarray) -> float:
-        return _negative_loglik(theta, y, metrics, groups)
-
     with obs_trace.span("fit.verify"):
-        return _verify_nlme_convergence(fit, policy, nll)
+        return _verify_nlme_convergence(fit, policy, _objective(data))
 
 
 def _verify_nlme_convergence(
-    fit: NlmeFit, policy: RetryPolicy, nll
+    fit: NlmeFit, policy: RetryPolicy, objective
 ) -> ConvergenceReport:
     theta = _theta_of(fit)
-    scale = 1.0 + abs(nll(theta))
+    nll, grad = objective(theta)
+    scale = 1.0 + abs(nll)
     grad_tol = policy.grad_tol * scale
 
     # Active-set reduction: a parameter pinned at (or collapsed past) its
@@ -160,12 +141,10 @@ def _verify_nlme_convergence(
     upper = np.array([_LOG_W_BOUNDS[1]] * k + [_LOG_SIGMA_BOUNDS[1]] * 2)
     free = (theta > lower + 0.5) & (theta < upper - 0.5)
 
-    grad = _finite_diff_gradient(nll, theta)
     grad_norm = float(np.linalg.norm(grad[free])) if free.any() else 0.0
 
     if free.any():
-        hess = _finite_diff_hessian(nll, theta)
-        sub = ((hess + hess.T) / 2.0)[np.ix_(free, free)]
+        sub = _hessian_block(objective, theta, np.flatnonzero(free))
         eigs = np.linalg.eigvalsh(sub)
         min_eig = float(eigs[0])
         max_eig = float(eigs[-1])
@@ -175,7 +154,7 @@ def _verify_nlme_convergence(
     # A numerically singular Hessian (eigenvalue ~ 0 relative to the
     # largest curvature) means some free direction is unidentifiable --
     # the collinear-metrics failure mode.  Clean paper fits condition at
-    # ~5e-2; exactly collinear columns at ~5e-9, so 1e-6 splits them with
+    # ~5e-2; exactly collinear columns at ~1e-9, so 1e-6 splits them with
     # orders of magnitude to spare on both sides.
     if max_eig > 0 and min_eig / max_eig < 1e-6:
         hessian_pd = False

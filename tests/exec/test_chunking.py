@@ -53,10 +53,9 @@ class TestWorkerContext:
             ctx.values = {}
 
     def test_pickle_roundtrip(self):
-        ctx = WorkerContext(values={"a": 1}, preload=("json",))
+        ctx = WorkerContext(values={"a": 1})
         clone = pickle.loads(pickle.dumps(ctx))
         assert dict(clone.values) == {"a": 1}
-        assert clone.preload == ("json",)
         with pytest.raises(TypeError):
             clone.values["a"] = 2
 

@@ -12,10 +12,14 @@ def quadratic(theta: np.ndarray) -> float:
     return float(theta @ theta)
 
 
+def quadratic_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    return quadratic(theta), 2.0 * theta
+
+
 class TestWatch:
     def test_callback_records_rows(self):
         trace = FitTrace("exact-ml", emit=False)
-        cb = trace.watch(quadratic, start_index=0)
+        cb = trace.watch(quadratic_and_grad, start_index=0)
         cb(np.array([3.0, 4.0]))
         cb(np.array([1.0, 0.0]))
         assert len(trace) == 2
@@ -25,7 +29,7 @@ class TestWatch:
         assert first.objective == pytest.approx(25.0)
         assert first.loglik == pytest.approx(-25.0)
         # grad of theta@theta is 2*theta; |(6, 8)| = 10.
-        assert first.grad_norm == pytest.approx(10.0, rel=1e-4)
+        assert first.grad_norm == pytest.approx(10.0)
         assert first.step is None
         assert second.step == pytest.approx(np.hypot(2.0, 4.0))
 
@@ -43,7 +47,13 @@ class TestWatch:
 
     def test_gradients_can_be_disabled(self):
         trace = FitTrace("laplace-aghq", record_gradients=False, emit=False)
+        trace.watch(quadratic_and_grad, start_index=0)(np.array([1.0]))
+        assert trace.rows[0].grad_norm is None
+
+    def test_objective_without_gradient_records_none(self):
+        trace = FitTrace("exact-ml", emit=False)
         trace.watch(quadratic, start_index=0)(np.array([1.0]))
+        assert trace.rows[0].objective == pytest.approx(1.0)
         assert trace.rows[0].grad_norm is None
 
     def test_rows_emit_fit_iter_events(self):

@@ -160,3 +160,50 @@ class TestParameterRecovery:
         )
         fit = fit_nlme(sim.data, n_random_starts=2)
         assert fit.sigma_rho < 0.15
+
+
+def _with_idle_metric(seed: int) -> tuple[GroupedData, GroupedData]:
+    """A one-metric dataset, and the same with a second metric whose
+    optimal weight is 0: it is largest exactly where the one-metric fit
+    already over-predicts, so any positive weight costs likelihood."""
+    sim = simulate_dataset(
+        [0.01], sigma_eps=0.4, sigma_rho=0.5,
+        components_per_team=[5, 4, 6, 3], seed=seed,
+    ).data
+    one = fit_nlme(sim)
+    resid = (
+        sim.log_efforts
+        - np.log(sim.metrics @ one.weights)
+        - np.array([one.random_effects[g] for g in sim.groups])
+    )
+    idle = sim.metrics[:, 0] * np.exp(-4.0 * resid / resid.std())
+    two = GroupedData(
+        efforts=sim.efforts,
+        metrics=np.column_stack([sim.metrics[:, 0], idle]),
+        groups=sim.groups,
+    )
+    return sim, two
+
+
+class TestIdleMetric:
+    """A metric that adds nothing sits at w -> 0, where the likelihood is
+    exponentially flat in log w; the fit must still reach the nested
+    one-metric optimum and pass verification on its first attempt."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_fit_reaches_nested_optimum(self, seed):
+        from repro.stats.robust import fit_nlme_robust
+
+        one, two = _with_idle_metric(seed)
+        fit = fit_nlme(two)
+        assert fit.loglik >= fit_nlme(one).loglik - 1e-9
+        assert math.log(fit.weights[1]) < -35.0
+        robust = fit_nlme_robust(two)
+        assert robust.fitter == "exact-ml" and robust.attempts == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rho1_fit_reaches_nested_optimum(self, seed):
+        one, two = _with_idle_metric(seed)
+        fit = fit_fixed_effects(two)
+        assert fit.loglik >= fit_fixed_effects(one).loglik - 1e-9
+        assert math.log(fit.weights[1]) < -35.0
