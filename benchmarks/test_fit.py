@@ -5,7 +5,8 @@ Records one series in BENCH_obs.json:
 * ``stats.fit_ms`` -- CPU milliseconds of one
   ``evaluate_estimators(paper_dataset())``: 12 estimators, each fitted
   with productivity (through verification and the retry ladder) and with
-  rho = 1 (lower is better; best of three passes).
+  rho = 1, which makes 22 closed-form fits and DEE1's 2 iterative fits
+  (lower is better; best of three passes).
 
 Correctness is asserted: every mixed-effects fit is a verified exact-ML
 fit, and every sigma_eps is within the paper's two printed decimals.

@@ -47,6 +47,15 @@ quarantine.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the user chose otherwise: the fits' L-BFGS-B
+# steps are tiny, and threaded OpenBLAS spends more time synchronising
+# than computing on them.  This must run before anything imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import argparse
 import sys
 from pathlib import Path

@@ -291,7 +291,9 @@ def chaos_task(payload):
 
 
 def _sabotaged(minimize):
-    """Wrap ``scipy.optimize.minimize``: run it, then wreck the answer.
+    """Wrap an optimizer (``scipy.optimize.minimize``, or the one-metric
+    profile search of :mod:`repro.stats.nlme`): run it, then wreck the
+    answer.
 
     The returned point is pushed away from the optimum and ``success`` is
     cleared, so both the optimizer flag and the post-hoc convergence
@@ -315,7 +317,8 @@ def forced_nonconvergence(
     """Force non-convergence of the chosen fitting stages.
 
     ``stages`` may contain ``"exact"`` (the exact-ML fitter in
-    :mod:`repro.stats.nlme`) and/or ``"laplace"`` (the quadrature fitter in
+    :mod:`repro.stats.nlme`: its multi-start optimizer and its one-metric
+    profile search) and/or ``"laplace"`` (the quadrature fitter in
     :mod:`repro.stats.laplace`).  Within the context every optimizer run of
     the selected stages returns a perturbed, unsuccessful result; the
     fixed-effects fallback is never sabotaged, so the degradation ladder
@@ -327,15 +330,17 @@ def forced_nonconvergence(
     unknown = set(stages) - {"exact", "laplace"}
     if unknown:
         raise ValueError(f"unknown stages {sorted(unknown)}")
-    saved: list[tuple[object, object]] = []
+    hooks = []
+    if "exact" in stages:
+        hooks += [(nlme_mod, "_MINIMIZE"), (nlme_mod, "_PROFILE_SEARCH")]
+    if "laplace" in stages:
+        hooks.append((laplace_mod, "_MINIMIZE"))
+    saved: list[tuple[object, str, object]] = []
     try:
-        if "exact" in stages:
-            saved.append((nlme_mod, nlme_mod._MINIMIZE))
-            nlme_mod._MINIMIZE = _sabotaged(nlme_mod._MINIMIZE)
-        if "laplace" in stages:
-            saved.append((laplace_mod, laplace_mod._MINIMIZE))
-            laplace_mod._MINIMIZE = _sabotaged(laplace_mod._MINIMIZE)
+        for module, name in hooks:
+            saved.append((module, name, getattr(module, name)))
+            setattr(module, name, _sabotaged(getattr(module, name)))
         yield
     finally:
-        for module, original in saved:
-            module._MINIMIZE = original  # type: ignore[attr-defined]
+        for module, name, original in saved:
+            setattr(module, name, original)

@@ -7,9 +7,11 @@ log-scale model becomes an ordinary nonlinear regression::
 
 Maximum likelihood reduces to least squares on the log residuals with
 ``sigma_eps^2 = RSS / n`` (the ML variance estimate, matching what the
-mixed-effects fit degenerates to as ``sigma_rho -> 0``).  The paper uses
-this model only to show that dropping the productivity adjustment loses a
-significant amount of accuracy (the last row of Table 4).
+mixed-effects fit degenerates to as ``sigma_rho -> 0``).  With one metric
+the model is linear in ``log w`` and least squares is closed form:
+``log w = mean(y - log m)``.  The paper uses this model only to show that
+dropping the productivity adjustment loses a significant amount of
+accuracy (the last row of Table 4).
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ from repro.obs.fittrace import FitTrace, maybe_fit_trace
 from repro.stats.criteria import FitCriteria
 from repro.stats.grouping import GroupedData
 from repro.stats.lognormal import confidence_interval
-from repro.stats.nlme import _REFINE_OPTIONS, _drop_idle_metrics
-
-_LOG_2PI = math.log(2.0 * math.pi)
-_LOG_W_BOUNDS = (-35.0, 15.0)
+from repro.stats.nlme import (
+    _LOG_2PI,
+    _LOG_W_BOUNDS,
+    _REFINE_OPTIONS,
+    _drop_idle_metrics,
+    _single_metric_start,
+    _weight_starts,
+)
 
 
 @dataclass(frozen=True)
@@ -93,25 +99,17 @@ def fit_fixed_effects(
     seed: int = 20050101,
     fit_trace: FitTrace | None = None,
 ) -> FixedEffectsFit:
-    """Fit the rho=1 model by maximum likelihood (nonlinear least squares)."""
+    """Fit the rho=1 model by maximum likelihood (nonlinear least squares).
+
+    With one metric the fit is closed form; with more, multi-start
+    L-BFGS-B and a refine from the best start.  ``n_random_starts`` and
+    ``seed`` have no effect with one metric.
+    """
     y = data.log_efforts
     metrics = data.metrics
     n, k = metrics.shape
-    rng = np.random.default_rng(seed)
-    bounds = [_LOG_W_BOUNDS] * k
 
-    u_balanced = np.array(
-        [float(np.mean(y - np.log(metrics[:, j]))) - math.log(k) for j in range(k)]
-    )
-    starts = [u_balanced]
-    for j in range(k):
-        u = np.full(k, u_balanced[j] - 6.0)
-        u[j] = float(np.mean(y - np.log(metrics[:, j])))
-        starts.append(u)
-    for _ in range(n_random_starts):
-        starts.append(u_balanced + rng.normal(scale=1.5, size=k))
-
-    with obs_trace.span("fit.fixed-effects", n_obs=n, n_metrics=k):
+    with obs_trace.span("fit.fixed-effects", n_obs=n, n_metrics=k) as fit_span:
         # The objective is an RSS, not a log-likelihood, so trace rows
         # carry it as a bare objective (no loglik field).
         trace_sink = maybe_fit_trace(
@@ -135,23 +133,35 @@ def fit_fixed_effects(
             evals.inc(int(getattr(res, "nfev", 0)))
             return res
 
-        best: optimize.OptimizeResult | None = None
-        for start_index, u0 in enumerate(starts):
-            res = minimize(np.clip(u0, *_LOG_W_BOUNDS), start_index, bounds)
-            if best is None or res.fun < best.fun:
-                best = res
-        assert best is not None
-        refine = minimize(
-            _drop_idle_metrics(objective, best.x, metrics, _LOG_W_BOUNDS[0]),
-            len(starts),
-            [(None, _LOG_W_BOUNDS[1])] * k,
-            _REFINE_OPTIONS,
-        )
-        if refine.fun < best.fun:
-            best = refine
+        if k == 1:
+            u = np.array([_single_metric_start(y, metrics[:, 0])])
+            rss, converged = objective(u)[0], True
+            evals.inc(1)
+            fit_span.set_attr("method", "closed-form")
+        else:
+            rng = np.random.default_rng(seed)
+            bounds = [_LOG_W_BOUNDS] * k
+            starts = _weight_starts(y, metrics)
+            for _ in range(n_random_starts):
+                starts.append(starts[0] + rng.normal(scale=1.5, size=k))
+            best = None
+            for start_index, u0 in enumerate(starts):
+                res = minimize(np.clip(u0, *_LOG_W_BOUNDS), start_index, bounds)
+                if best is None or res.fun < best.fun:
+                    best = res
+            assert best is not None
+            refine = minimize(
+                _drop_idle_metrics(objective, best.x, metrics, _LOG_W_BOUNDS[0]),
+                len(starts),
+                [(None, _LOG_W_BOUNDS[1])] * k,
+                _REFINE_OPTIONS,
+            )
+            if refine.fun < best.fun:
+                best = refine
+            u, rss, converged = best.x, float(best.fun), bool(best.success)
+            fit_span.set_attr("method", "multi-start")
 
-    w = np.exp(best.x)
-    rss = float(best.fun)
+    w = np.exp(u)
     sigma2 = max(rss / n, 1e-12)
     loglik = -0.5 * n * (_LOG_2PI + math.log(sigma2) + 1.0)
     return FixedEffectsFit(
@@ -160,5 +170,5 @@ def fit_fixed_effects(
         loglik=loglik,
         metric_names=data.metric_names,
         n_obs=n,
-        converged=bool(best.success),
+        converged=converged,
     )

@@ -19,11 +19,18 @@ determinant and inverse are closed form, so the marginal likelihood that
 ``PROC NLMIXED`` approximates by quadrature is available exactly here, and
 so is its gradient; we maximize it directly with multi-start quasi-Newton
 optimization.
+
+With one metric the model is linear in ``log w``: ``z = y - log m`` is a
+one-way random-intercept model.  The intercept and ``sigma_eps^2`` are
+then closed form given ``lambda = sigma_rho^2 / sigma_eps^2``, and the fit
+is a 1-D search of the profile likelihood in ``log lambda`` (see
+:func:`_profile`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -56,6 +63,14 @@ _MINIMIZE = optimize.minimize
 # enough that the exact gradient, not the stopping rule, decides where
 # the optimum is.
 _REFINE_OPTIONS = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 2000}
+
+# The one-metric profile search: grid spacing in t = log(lambda), the
+# refine's stopping width in t and iteration cap, and the derivative,
+# relative to 1 + |nll|, below which the search reports success.
+_PROFILE_STEP = 0.5
+_PROFILE_XTOL = 1e-12
+_PROFILE_MAXITER = 100
+_PROFILE_GTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -271,12 +286,26 @@ def _blups(
 
 
 def _single_metric_start(y: np.ndarray, column: np.ndarray) -> float:
-    """Closed-form log-weight start for a single-metric model.
+    """Closed-form log-weight of a single-metric model.
 
     With one metric, ``log(w * m) = log w + log m`` and the ML estimate of
     ``log w`` (ignoring grouping) is ``mean(y - log m)``.
     """
     return float(np.mean(y - np.log(column)))
+
+
+def _weight_starts(y: np.ndarray, metrics: np.ndarray) -> list[np.ndarray]:
+    """Deterministic log-weight starts: the single-metric solutions split
+    evenly, then all the weight on one metric at a time."""
+    k = metrics.shape[1]
+    single = np.array([_single_metric_start(y, metrics[:, j]) for j in range(k)])
+    u0 = single - math.log(k)
+    starts = [u0]
+    for j in range(k):
+        u = np.full(k, u0[j] - 6.0)
+        u[j] = single[j]
+        starts.append(u)
+    return starts
 
 
 def _starting_points(
@@ -285,22 +314,176 @@ def _starting_points(
     k = metrics.shape[1]
     resid_sd = max(float(np.std(y)), 0.05)
     base_sigmas = [math.log(max(resid_sd * 0.7, 1e-3)), math.log(max(resid_sd * 0.5, 1e-3))]
-    # Deterministic start: split the single-metric solutions evenly.
-    u0 = np.array(
-        [_single_metric_start(y, metrics[:, j]) - math.log(k) for j in range(k)]
-    )
-    starts = [np.concatenate([u0, base_sigmas])]
-    # Starts that put all the weight on one metric at a time.
-    for j in range(k):
-        u = np.full(k, u0[j] - 6.0)
-        u[j] = _single_metric_start(y, metrics[:, j])
-        starts.append(np.concatenate([u, base_sigmas]))
+    weight_starts = _weight_starts(y, metrics)
+    starts = [np.concatenate([u, base_sigmas]) for u in weight_starts]
     # Random perturbations around the balanced start.
     for _ in range(n_random):
-        u = u0 + rng.normal(scale=1.5, size=k)
+        u = weight_starts[0] + rng.normal(scale=1.5, size=k)
         sig = np.asarray(base_sigmas) + rng.normal(scale=0.5, size=2)
         starts.append(np.concatenate([u, sig]))
     return starts
+
+
+def _profile(
+    t: np.ndarray,
+    sums: np.ndarray,
+    sizes: np.ndarray,
+    within: float,
+    n_obs: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one-metric profile NLL at each ``t = log(lambda)``, vectorised.
+
+    With ``z = y - log m`` centred, ``sums`` its per-team sums ``Sz_i``,
+    ``sizes`` the team sizes ``n_i`` and ``within`` its within-team sum of
+    squares ``W``; per ``t``, with ``d_i = 1 + n_i*lambda``:
+
+        a       = sum(Sz_i / d_i) / sum(n_i / d_i)         (GLS intercept)
+        S_i     = Sz_i - n_i*a
+        s2e     = Q / N,  Q = W + sum(S_i^2 / (n_i*d_i))
+                    = sum((z - a)^2) - sum(lambda*S_i^2 / d_i)
+        nll     = N/2*(log(2*pi) + log(s2e) + 1) + 1/2*sum(log d_i)
+        dnll/dt = lambda/2*(sum(n_i/d_i) - sum(S_i^2/(s2e*d_i^2)))
+
+    The derivative is the partial in ``lambda`` at fixed ``(a, s2e)``,
+    which the envelope theorem makes exact.  Returns ``(nll, dnll/dt, a,
+    s2e)``, one entry per ``t``.
+    """
+    lam = np.exp(np.asarray(t, dtype=float))[:, None]
+    d = 1.0 + sizes * lam
+    a = (sums / d).sum(axis=1) / (sizes / d).sum(axis=1)
+    s = sums - sizes * a[:, None]
+    s2e = (within + (s * s / (sizes * d)).sum(axis=1)) / n_obs
+    nll = 0.5 * (n_obs * (_LOG_2PI + np.log(s2e) + 1.0) + np.log(d).sum(axis=1))
+    dnll = 0.5 * lam[:, 0] * (
+        (sizes / d).sum(axis=1) - (s * s / (d * d)).sum(axis=1) / s2e
+    )
+    return nll, dnll, a, s2e
+
+
+def _profile_search(
+    profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    grid: np.ndarray,
+    callback: Callable[[float], None] | None = None,
+) -> optimize.OptimizeResult:
+    """Minimise a 1-D profile NLL over ``grid`` and refine the best point.
+
+    ``profile`` maps an array of points to ``(nll, dnll, ...)``.  The grid
+    scan is global; the refine is Illinois regula falsi on the exact
+    derivative inside the grid cell where it changes sign next to the best
+    point.  With no sign change there (the optimum at an end of the grid,
+    or a flat profile) the best grid point stands.  ``callback(t)`` is
+    called at the grid's best point and after every refine step.
+
+    Every grid point counts as a start: the result's ``starts`` holds the
+    optimum's NLL for the points whose downhill walk on the grid ends at
+    the best point, and its own NLL for every other point, so the
+    multi-start dispersion check of :mod:`repro.stats.robust` sees how
+    much of the grid the optimum's basin covers.
+    """
+    nll, dnll = profile(grid)[:2]
+    i = int(np.argmin(nll))
+    rise = np.diff(nll)
+    not_down = np.flatnonzero(rise[:i] >= 0.0)
+    not_up = np.flatnonzero(rise[i:] <= 0.0)
+    basin = slice(
+        not_down[-1] + 1 if not_down.size else 0,
+        i + not_up[0] + 1 if not_up.size else grid.size,
+    )
+    t, f, g = float(grid[i]), float(nll[i]), float(dnll[i])
+    if callback is not None:
+        callback(t)
+    nfev, nit = grid.size, 0
+    j = i - 1 if g > 0.0 else i + 1
+    if 0 <= j < grid.size and g * dnll[j] < 0.0:
+        (lo, g_lo), (hi, g_hi) = sorted([(t, g), (float(grid[j]), float(dnll[j]))])
+        side = 0
+        while nit < _PROFILE_MAXITER and hi - lo > _PROFILE_XTOL:
+            t_new = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            if not lo < t_new < hi:
+                break
+            nll1, dnll1 = profile(np.array([t_new]))[:2]
+            t, f, g = t_new, float(nll1[0]), float(dnll1[0])
+            nit += 1
+            nfev += 1
+            if callback is not None:
+                callback(t)
+            if g > 0.0:
+                hi, g_hi = t, g
+                if side == 1:
+                    g_lo *= 0.5
+                side = 1
+            elif g < 0.0:
+                lo, g_lo = t, g
+                if side == -1:
+                    g_hi *= 0.5
+                side = -1
+            else:
+                break
+    starts = nll.copy()
+    starts[basin] = f
+    return optimize.OptimizeResult(
+        x=np.array([t]), fun=f, nit=nit, nfev=nfev,
+        success=abs(g) <= _PROFILE_GTOL * (1.0 + abs(f)), starts=starts,
+    )
+
+
+# Indirection over the one-metric profile search, for the same reason as
+# _MINIMIZE.
+_PROFILE_SEARCH = _profile_search
+
+
+def _one_metric_profile(data: GroupedData):
+    """``(profile, theta_at)`` for one-metric ``data``: the vectorised
+    :func:`_profile` with the data bound, and the full ``theta`` at which
+    the profile NLL at ``t`` is attained."""
+    y = data.log_efforts
+    column = data.metrics[:, 0]
+    z_mean = _single_metric_start(y, column)
+    z = y - np.log(column) - z_mean
+    codes = _team_codes(data.groups)
+    sizes = np.bincount(codes).astype(float)
+    sums = np.bincount(codes, weights=z)
+    dev = z - (sums / sizes)[codes]
+    profile = partial(
+        _profile, sums=sums, sizes=sizes, within=float(dev @ dev),
+        n_obs=z.shape[0],
+    )
+
+    def theta_at(t: float) -> np.ndarray:
+        _, _, a, s2e = profile(np.array([t]))
+        log_sigma_eps = 0.5 * math.log(s2e[0])
+        return np.array([z_mean + a[0], log_sigma_eps, log_sigma_eps + 0.5 * t])
+
+    return profile, theta_at
+
+
+def _fit_one_metric(
+    data: GroupedData, trace_sink: FitTrace | None, objective
+) -> optimize.OptimizeResult:
+    """The exact one-metric fit: the profile search in ``t = log(lambda)``.
+
+    The grid spans every ratio ``sigma_rho / sigma_eps`` the sigma box
+    allows and, below it, down to where ``1 + n_i*lambda`` rounds to 1 and
+    the profile is flat, so sigma_rho -> 0 optima stay finite.  Returns
+    the search result with ``x`` replaced by the full ``theta``.
+    """
+    profile, theta_at = _one_metric_profile(data)
+    callback = None
+    if trace_sink is not None:
+        watch = trace_sink.watch(objective, 0)
+
+        def callback(t: float) -> None:
+            watch(theta_at(t))
+
+    n_max = max(Counter(data.groups).values())
+    span = _LOG_SIGMA_BOUNDS[1] - _LOG_SIGMA_BOUNDS[0]
+    floor = min(-2.0 * span, _LOG_EPS - math.log(n_max))
+    n_points = int(math.ceil((2.0 * span - floor) / _PROFILE_STEP)) + 1
+    res = _PROFILE_SEARCH(
+        profile, np.linspace(floor, 2.0 * span, n_points), callback=callback
+    )
+    res.x = theta_at(float(res.x[0]))
+    return res
 
 
 def fit_nlme(
@@ -313,18 +496,23 @@ def fit_nlme(
 ) -> NlmeFit:
     """Fit the mixed-effects model by exact marginal maximum likelihood.
 
+    With one metric the fit is the exact profile search of
+    :func:`_fit_one_metric`; with more, multi-start L-BFGS-B and a refine
+    from the best start.
+
     Args:
         data: grouped dataset (efforts, metric matrix, team labels).
         n_random_starts: extra randomized optimizer starts on top of the
             deterministic ones; more starts make the global optimum more
-            likely on multi-metric models.
+            likely on multi-metric models.  No effect with one metric.
         seed: RNG seed for the randomized starts (fits are deterministic for
             a fixed seed).
         bounds_margin: widens the log-scale box constraints by this much on
             each side; the robust retry ladder uses it to escape optima
-            pinned at a bound.
+            pinned at a bound.  No effect with one metric.
         start_jitter: extra N(0, start_jitter) noise added to every start;
-            the robust retry ladder uses it for jittered restarts.
+            the robust retry ladder uses it for jittered restarts.  No
+            effect with one metric.
         fit_trace: per-iteration telemetry sink; when omitted, one is
             created automatically if a tracer is active (see
             :mod:`repro.obs.fittrace`).
@@ -370,30 +558,41 @@ def fit_nlme(
             evals.inc(int(getattr(res, "nfev", 0)))
             return res
 
-        best: optimize.OptimizeResult | None = None
-        start_objectives: list[float] = []
-        starts = _starting_points(y, metrics, rng, n_random_starts)
-        for start_index, theta0 in enumerate(starts):
-            if start_jitter > 0.0:
-                theta0 = theta0 + rng.normal(scale=start_jitter, size=theta0.shape)
-            theta0 = np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds])
-            res = minimize(theta0, start_index, bounds)
-            start_objectives.append(float(res.fun))
-            if best is None or res.fun < best.fun:
-                best = res
-        assert best is not None
-        # Refine the best start to tight tolerances, unbounded below like
-        # the optima it must reach: sigma_rho -> 0 for a column with no
-        # productivity spread, w -> 0 for a metric that adds nothing.
-        refine = minimize(
-            _drop_idle_metrics(objective, best.x, metrics, w_bounds[0]),
-            len(starts),
-            [(None, w_bounds[1])] * k + [(None, s_bounds[1])] * 2,
-            _REFINE_OPTIONS,
-        )
-        if refine.fun < best.fun:
-            best = refine
-        fit_span.set_attr("n_starts", len(starts))
+        if k == 1:
+            best = _fit_one_metric(data, trace_sink, objective)
+            iters.inc(best.nit)
+            evals.inc(best.nfev)
+            # Report the full model's NLL at the returned theta.
+            best.fun = objective(best.x)[0]
+            start_objectives = best.starts.tolist()
+            fit_span.set_attr("method", "profile")
+            fit_span.set_attr("n_starts", len(start_objectives))
+        else:
+            best = None
+            start_objectives = []
+            starts = _starting_points(y, metrics, rng, n_random_starts)
+            for start_index, theta0 in enumerate(starts):
+                if start_jitter > 0.0:
+                    theta0 = theta0 + rng.normal(scale=start_jitter, size=theta0.shape)
+                theta0 = np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds])
+                res = minimize(theta0, start_index, bounds)
+                start_objectives.append(float(res.fun))
+                if best is None or res.fun < best.fun:
+                    best = res
+            assert best is not None
+            # Refine the best start to tight tolerances, unbounded below like
+            # the optima it must reach: sigma_rho -> 0 for a column with no
+            # productivity spread, w -> 0 for a metric that adds nothing.
+            refine = minimize(
+                _drop_idle_metrics(objective, best.x, metrics, w_bounds[0]),
+                len(starts),
+                [(None, w_bounds[1])] * k + [(None, s_bounds[1])] * 2,
+                _REFINE_OPTIONS,
+            )
+            if refine.fun < best.fun:
+                best = refine
+            fit_span.set_attr("method", "multi-start")
+            fit_span.set_attr("n_starts", len(starts))
         fit_span.set_attr("nll", float(best.fun))
 
     theta = best.x
