@@ -12,6 +12,11 @@ Two trajectories the paper's harness tracks in BENCH_obs.json:
 * ``cache.hit_rate_warm`` / ``cache.synth_skip_fraction`` -- how much of
   the synthesize stage a warm content-addressed cache elides on an
   unchanged catalog (the acceptance bar is >= 0.9 skipped).
+* ``cache.store_ms`` -- process CPU (user + sys) milliseconds of storing
+  what one cold measure of a 200-component catalog of flat generated
+  modules writes (200 synthesis reports and 200 pristine measurements)
+  into a fresh cache: the write path alone, with no synthesis around it
+  (lower is better; best of :data:`REPEATS`).
 """
 
 import os
@@ -20,7 +25,7 @@ import time
 
 from repro.cache import SynthesisCache, hit_rate
 from repro.core.engine import Engine
-from repro.gen import corpus_specs, generate_corpus
+from repro.gen import clean_kinds, corpus_specs, generate_corpus
 from repro.obs import metrics as obs_metrics
 
 JOBS = 4
@@ -72,6 +77,54 @@ def test_parallel_catalog_speedup(bench_series, report):
         "parallel catalog measurement (cold cache, 200 components)",
         f"sequential {t_seq:.2f}s, jobs={JOBS} {t_par:.2f}s "
         f"-> speedup {speedup:.2f}x on {cpus:.0f} cpu(s)",
+    )
+
+
+def test_cache_store_cpu(bench_series, report, tmp_path):
+    modules = generate_corpus(
+        "verilog", CORPUS_SIZE, seed=CORPUS_SEED, kinds=clean_kinds(),
+        name_prefix="sv",
+    ) + generate_corpus(
+        "vhdl", CORPUS_SIZE, seed=CORPUS_SEED, kinds=clean_kinds(),
+        name_prefix="sh",
+    )
+    specs = corpus_specs(modules)
+    seed = SynthesisCache(tmp_path / "seed")
+    with obs_metrics.using(obs_metrics.MetricsRegistry()):
+        Engine(cache=seed).measure_components(specs)
+        entries = [
+            (path.stem, seed.load(path.stem).value) for path in seed.entries()
+        ] + [
+            (path.stem, seed.load_measurement(path.stem))
+            for path in seed.measurement_entries()
+        ]
+    reports = len(seed.entries())
+    assert reports >= len(specs)
+    assert len(entries) == reports + len(specs)
+
+    best = float("inf")
+    for repeat in range(REPEATS):
+        cache = SynthesisCache(tmp_path / f"fresh{repeat}")
+        with obs_metrics.using(obs_metrics.MetricsRegistry()):
+            t0 = time.process_time()
+            for i, (key, value) in enumerate(entries):
+                if i < reports:
+                    cache.store(key, value)
+                else:
+                    cache.store_measurement(key, value)
+            elapsed = time.process_time() - t0
+            stored = obs_metrics.snapshot()["counters"]
+        best = min(best, elapsed)
+        assert stored.get("cache.errors", 0.0) == 0.0
+        assert stored["cache.stores"] == reports
+        assert stored["cache.measure_stores"] == len(specs)
+
+    bench_series("cache.store_ms", best * 1000)
+    report(
+        "cache write path (cold catalog)",
+        f"{len(entries)} entries ({reports} reports, {len(specs)} "
+        f"measurements) stored in {best * 1000:.0f}ms CPU "
+        f"(best of {REPEATS})",
     )
 
 

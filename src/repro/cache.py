@@ -39,10 +39,11 @@ rates ride along in every ``--trace`` file and ``RunReport``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -127,6 +128,10 @@ class _Namespace:
     counter: str  # prefix of the hits/misses/stores counters
     holds: str  # what ``accepts`` admits, for corrupt-entry details
 
+    @property
+    def prefix(self) -> str:  # between the cache directory and a shard
+        return f"{os.sep}{self.subdir}{os.sep}" if self.subdir else os.sep
+
 
 _SYNTH = _Namespace("", _is_report, "cache.", "SynthesisReport")
 _MEASURE = _Namespace(
@@ -138,6 +143,39 @@ _LINT = _Namespace(
 )
 _NAMESPACES = (_SYNTH, _MEASURE, _LINT)
 
+#: Shard directories this process has made, so ``makedirs`` runs once per
+#: shard.  Process state, not cache state (DESIGN.md section 8): outside
+#: ``SynthesisCache`` equality and pickles, and emptied in a forked child.
+_KNOWN_SHARDS: set[str] = set()
+os.register_at_fork(after_in_child=_KNOWN_SHARDS.clear)
+
+#: With the pid, names every temp file uniquely.
+_TMP_SEQ = itertools.count()
+
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
+def _open_temp(shard: str, tmp: str) -> int:
+    """Create ``tmp`` (mode 0600); a shard removed since it was remembered
+    is recreated and the create retried once."""
+    if shard not in _KNOWN_SHARDS:
+        os.makedirs(shard, exist_ok=True)
+        _KNOWN_SHARDS.add(shard)
+    try:
+        return os.open(tmp, _TMP_FLAGS, 0o600)
+    except FileNotFoundError:
+        os.makedirs(shard, exist_ok=True)
+        return os.open(tmp, _TMP_FLAGS, 0o600)
+
+
+def content_key(*parts: str) -> str:
+    """A SHA-256 key over ``parts`` with unambiguous separators."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(b"\x00part\x00")
+        h.update(part.encode("utf-8"))
+    return h.hexdigest()
+
 
 def measure_task_key(spec, strict: bool = False, lint: bool = False) -> str:
     """Content-addressed key of one component-measurement task.
@@ -147,8 +185,6 @@ def measure_task_key(spec, strict: bool = False, lint: bool = False) -> str:
     memo and a resumed journal only reuse outcomes that would be
     recomputed identically.
     """
-    from repro.exec.journal import content_key
-
     parts = [
         SALT,
         "measure-task",
@@ -215,7 +251,7 @@ class SynthesisCache:
         return h.hexdigest()
 
     def entry_path(self, key: str) -> Path:
-        return self._path(_SYNTH, key)
+        return Path(self._path(_SYNTH, key))
 
     def load(self, key: str) -> CacheLookup:
         """Probe the cache; corruption degrades to a recompute, never raises."""
@@ -306,9 +342,13 @@ class SynthesisCache:
 
     # -- the one read path and the one write path ----------------------------
 
-    def _path(self, ns: _Namespace, key: str) -> Path:
-        # Two-level fan-out keeps directories small at catalog scale.
-        return self.directory / ns.subdir / key[:2] / f"{key}.pkl"
+    def _shard(self, ns: _Namespace, key: str) -> str:
+        # Two-level fan-out keeps directories small at catalog scale; plain
+        # strings, because ``pathlib`` costs more than the syscalls here.
+        return f"{os.fspath(self.directory)}{ns.prefix}{key[:2]}"
+
+    def _path(self, ns: _Namespace, key: str) -> str:
+        return f"{self._shard(ns, key)}{os.sep}{key}.pkl"
 
     def _read(self, ns: _Namespace, key: str) -> CacheLookup:
         """Read, unpickle and validate one entry; never raises.
@@ -319,7 +359,8 @@ class SynthesisCache:
         """
         path = self._path(ns, key)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as fh:
+                blob = fh.read()
         except FileNotFoundError:
             obs_metrics.counter(ns.counter + "misses").inc()
             return _MISS
@@ -338,7 +379,7 @@ class SynthesisCache:
             obs_metrics.counter(ns.counter + "misses").inc()
             self._evict(path)
             return CacheLookup(
-                "corrupt", detail=f"{path.name}: {type(exc).__name__}: {exc}"
+                "corrupt", detail=f"{key}.pkl: {type(exc).__name__}: {exc}"
             )
         obs_metrics.counter(ns.counter + "hits").inc()
         return CacheLookup("hit", value=value)
@@ -346,26 +387,28 @@ class SynthesisCache:
     def _write(self, ns: _Namespace, key: str, value: Any) -> bool:
         """Atomically write one entry the namespace accepts.
 
-        A value the loader would refuse to serve is not written (returns
-        False, counts nothing); I/O failures are counted, not raised.
+        Pickled before any file exists, written to ``<key>.<pid>.<seq>.tmp``
+        and renamed over the entry (DESIGN.md section 8).  A value the
+        loader would refuse to serve is not written (returns False, counts
+        nothing); I/O failures are counted, not raised.
         """
         if not ns.accepts(value):
             return False
-        path = self._path(ns, key)
+        shard = self._shard(ns, key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem, suffix=".tmp"
-            )
+            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            tmp = f"{shard}{os.sep}{key}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
+            fd = _open_temp(shard, tmp)
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
                 try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+                    view = memoryview(blob)
+                    while view:
+                        view = view[os.write(fd, view):]
+                finally:
+                    os.close(fd)
+                os.replace(tmp, f"{shard}{os.sep}{key}.pkl")
+            except BaseException:
+                self._evict(tmp)
                 raise
         except Exception:  # noqa: BLE001 -- caching is best-effort
             obs_metrics.counter("cache.errors").inc()
@@ -374,11 +417,9 @@ class SynthesisCache:
         return True
 
     @staticmethod
-    def _evict(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+    def _evict(path: str | Path) -> None:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
 
     # -- maintenance ---------------------------------------------------------
 

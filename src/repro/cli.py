@@ -79,9 +79,10 @@ from repro.runtime.diagnostics import (
 if TYPE_CHECKING:
     from repro.data.dataset import EffortDataset
 
-#: The tracked, curated perf history (one entry per change), relative to
-#: the repository root; ``BENCH_obs.json`` is the local per-session one.
+#: The tracked, curated perf history (one entry per change) and the local
+#: per-session one, both relative to the repository root.
 BENCH_BASELINE = "benchmarks/baseline.json"
+BENCH_OBS = "BENCH_obs.json"
 
 
 def _supervision_from_args(
@@ -577,9 +578,15 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
 
     try:
         if args.record is not None:
-            history = benchdiff.load_bench_obs(args.file)["history"]
+            source = args.file or BENCH_OBS
+            if Path(source).resolve() == Path(BENCH_BASELINE).resolve():
+                raise ValueError(
+                    f"{source} is the baseline itself; --record copies a "
+                    f"session history such as ./{BENCH_OBS} into it"
+                )
+            history = benchdiff.load_bench_obs(source)["history"]
             if not history:
-                raise ValueError(f"{args.file}: no session to record")
+                raise ValueError(f"{source}: no session to record")
             entry = benchdiff.record_baseline(
                 history[-1], BENCH_BASELINE, args.record
             )
@@ -587,7 +594,7 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
                   f"{entry['pr']} ({entry['machine']}) in {BENCH_BASELINE}")
             return EXIT_OK
         config = benchdiff.load_config(args.config)
-        data = benchdiff.load_bench_obs(args.file)
+        data = benchdiff.load_bench_obs(args.file or BENCH_BASELINE)
         report = benchdiff.diff_history(data, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -899,16 +906,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     p.add_argument(
-        "file", nargs="?", default=BENCH_BASELINE,
+        "file", nargs="?", default=None,
         help="benchmark history file (default: the tracked baseline "
-             f"./{BENCH_BASELINE}; the local per-session history is "
-             "./BENCH_obs.json)",
+             f"./{BENCH_BASELINE}, or with --record the local "
+             f"per-session history ./{BENCH_OBS})",
     )
     p.add_argument(
         "--record", type=int, metavar="N", default=None,
         help="instead of diffing, append FILE's latest session to the "
              f"tracked baseline ./{BENCH_BASELINE} as change N "
-             "(replacing an earlier entry for N)",
+             "(replacing an earlier entry for N); the baseline itself "
+             "is refused as FILE",
     )
     p.add_argument(
         "--config", metavar="FILE", default=None,

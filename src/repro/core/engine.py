@@ -687,8 +687,7 @@ def synthesis_task_key(
     The constant ``safe=True`` part is kept from when a second, raising
     synthesis path existed, so journals written back then still resume.
     """
-    from repro.cache import SALT
-    from repro.exec.journal import content_key
+    from repro.cache import SALT, content_key
 
     parts = [
         SALT,

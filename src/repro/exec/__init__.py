@@ -12,11 +12,12 @@ only its index, and merges worker telemetry on join.
 Layering: this package depends only on :mod:`repro.obs` and
 :mod:`repro.runtime.diagnostics`; the measurement and lint steps live
 with the code they serve (:mod:`repro.core.engine`,
-:mod:`repro.lint.engine`) and travel to workers by reference.  See
+:mod:`repro.lint.engine`) and travel to workers by reference;
+:func:`repro.cache.content_key` is re-exported on first use only.  See
 DESIGN.md section 11 for the supervision model and the journal format.
 """
 
-from repro.exec.journal import JOURNAL_VERSION, RunJournal, content_key
+from repro.exec.journal import JOURNAL_VERSION, RunJournal
 from repro.exec.policy import SupervisionPolicy
 from repro.exec.pool import run_pool
 from repro.exec.supervisor import (
@@ -67,3 +68,11 @@ __all__ = [
     "worker_context",
     "worker_main",
 ]
+
+
+def __getattr__(name: str):
+    if name != "content_key":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.cache import content_key
+
+    return content_key

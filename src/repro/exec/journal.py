@@ -52,15 +52,6 @@ from repro.exec.task import TaskOutcome
 JOURNAL_VERSION = 1
 
 
-def content_key(*parts: str) -> str:
-    """A SHA-256 key over ``parts`` with unambiguous separators."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(b"\x00part\x00")
-        h.update(part.encode("utf-8"))
-    return h.hexdigest()
-
-
 def _blob_sha(blob: str) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:12]
 

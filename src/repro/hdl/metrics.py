@@ -11,82 +11,38 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.hdl import ast
 from repro.hdl.source import VERILOG, VHDL, SourceFile, detect_language
 
 
-def _strip_verilog_comments(text: str) -> str:
-    """Blank out ``//`` and ``/* */`` comments, preserving line structure.
-
-    A character scanner rather than a regex so that comment starters inside
-    string literals (``"//not a comment"``) survive, and strings inside
-    comments don't confuse the stripper.  Backslash escapes are honored
-    inside strings; an unterminated string ends at the newline.
-    """
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            out.append(ch)
-            i += 1
-            while i < n and text[i] != "\n":
-                out.append(text[i])
-                if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i + 1])
-                    i += 2
-                    continue
-                if text[i] == '"':
-                    i += 1
-                    break
-                i += 1
-        elif ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "/" and i + 1 < n and text[i + 1] == "*":
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] == "\n":
-                    out.append("\n")
-                i += 1
-            i = min(i + 2, n)
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+#: One alternation per language: a string literal (kept verbatim) or a
+#: comment (dropped).  Matching strings first is what keeps comment
+#: starters inside them (``"//not a comment"``, ``"1--0"``) as code.  A
+#: string ends at its closing quote or, unterminated, before the newline;
+#: Verilog honors backslash escapes, VHDL a doubled quote.  An unterminated
+#: ``/*`` runs to the end of the text.
+_COMMENT_RES = {
+    VERILOG: re.compile(
+        r'"(?:\\[\s\S]|[^"\\\n])*"?|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)'
+    ),
+    VHDL: re.compile(r'"(?:""|[^"\n])*"?|--[^\n]*'),
+}
 
 
-def _strip_vhdl_comments(text: str) -> str:
-    """Blank out ``--`` comments, preserving string literals.
+def _blank_comment(match: re.Match) -> str:
+    # A comment becomes the newlines it spanned, so line structure holds.
+    text = match.group()
+    return text if text[0] == '"' else "\n" * text.count("\n")
 
-    ``--`` inside a string literal (``"1--0"``) is data, not a comment; a
-    doubled quote is VHDL's in-string escape.  Character literals need no
-    tracking: they hold exactly one character, so no ``--`` fits inside.
-    """
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            out.append(ch)
-            i += 1
-            while i < n and text[i] != "\n":
-                out.append(text[i])
-                if text[i] == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        out.append(text[i + 1])
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                i += 1
-        elif ch == "-" and i + 1 < n and text[i + 1] == "-":
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+
+def strip_comments(text: str, language: str) -> str:
+    """``text`` with every comment blanked out and line structure kept."""
+    pattern = _COMMENT_RES.get(language)
+    if pattern is None:
+        raise ValueError(f"unknown HDL language {language!r}")
+    return pattern.sub(_blank_comment, text)
 
 
 def count_loc(source: SourceFile, language: str | None = None) -> int:
@@ -101,12 +57,7 @@ def count_loc(source: SourceFile, language: str | None = None) -> int:
     """
     if language is None:
         language = detect_language(source) or VERILOG
-    if language == VHDL:
-        text = _strip_vhdl_comments(source.text)
-    elif language == VERILOG:
-        text = _strip_verilog_comments(source.text)
-    else:
-        raise ValueError(f"unknown HDL language {language!r}")
+    text = strip_comments(source.text, language)
     return sum(1 for line in text.splitlines() if line.strip())
 
 

@@ -301,6 +301,39 @@ class TestBenchDiff:
         # With no file argument the gate reads the tracked baseline.
         assert main(["bench-diff"]) == 0
 
+    def test_record_without_file_reads_the_session_history(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.cli import BENCH_BASELINE
+
+        monkeypatch.chdir(tmp_path)
+        self._write(tmp_path, {"timestamp": "t0", "series": {"s.ms": 4.0}})
+        assert main(["bench-diff", "--record", "13"]) == 0
+        history = json.loads((tmp_path / BENCH_BASELINE).read_text())[
+            "history"
+        ]
+        assert [(e["pr"], e["series"]) for e in history] == [
+            (13, {"s.ms": 4.0})
+        ]
+
+    def test_record_refuses_the_baseline_as_its_own_source(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.cli import BENCH_BASELINE
+
+        monkeypatch.chdir(tmp_path)
+        obs = self._write(tmp_path, {"timestamp": "t0",
+                                     "series": {"s.ms": 4.0}})
+        assert main(["bench-diff", str(obs), "--record", "13"]) == 0
+        baseline = tmp_path / BENCH_BASELINE
+        before = baseline.read_text()
+        for spelling in (BENCH_BASELINE, str(baseline)):
+            assert main(["bench-diff", spelling, "--record", "14"]) == 2
+            assert "baseline itself" in capsys.readouterr().err
+        assert baseline.read_text() == before
+
     def test_record_without_series_is_fatal(self, capsys, tmp_path,
                                             monkeypatch):
         monkeypatch.chdir(tmp_path)
