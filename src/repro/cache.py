@@ -19,9 +19,10 @@ serving stale products.  Editing a source file or changing a parameter
 binding changes the key the same way.
 
 The same store also holds two whole-result memos one level up: finished
-pristine measurements (``measure/``) and clean per-module lint results
-(``lint/``).  All three namespaces share one read path, one atomic write
-path and one degradation policy (see DESIGN.md, "Parallelism & caching"):
+pristine measurements (``measure/``) and the error-free module results
+of whole lint runs (``lint/``).  All three namespaces share one read
+path, one atomic write path and one degradation policy (see DESIGN.md,
+"Parallelism & caching"):
 
 * a **corrupt** entry (truncated file, bad pickle, wrong type, a result
   the namespace would not store) is deleted, counted in ``cache.errors``
@@ -50,6 +51,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.elab.elaborator import ELAB_VERSION
 from repro.flow.dfg import FLOW_VERSION
+from repro.hdl.source import SourceFile
 from repro.hdl.verilog.parser import PARSER_VERSION as VERILOG_PARSER_VERSION
 from repro.hdl.vhdl.parser import PARSER_VERSION as VHDL_PARSER_VERSION
 from repro.obs import metrics as obs_metrics
@@ -116,7 +118,9 @@ def _is_pristine_measurement(value: Any) -> bool:
 def _is_clean_lint(value: Any) -> bool:
     from repro.lint.engine import ModuleLintResult
 
-    return isinstance(value, ModuleLintResult) and not value.errors
+    return isinstance(value, tuple) and all(
+        isinstance(r, ModuleLintResult) and not r.errors for r in value
+    )
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,8 @@ _MEASURE = _Namespace(
     "a pristine measurement Result",
 )
 _LINT = _Namespace(
-    "lint", _is_clean_lint, "cache.lint_", "a clean ModuleLintResult"
+    "lint", _is_clean_lint, "cache.lint_",
+    "a tuple of error-free ModuleLintResult",
 )
 _NAMESPACES = (_SYNTH, _MEASURE, _LINT)
 
@@ -210,8 +215,8 @@ class SynthesisCache:
     content.
 
     Entries are ``<namespace>/<key[:2]>/<key>.pkl``: synthesis reports at
-    the root, whole-component measurements under ``measure/``, per-module
-    lint results under ``lint/``.  Each namespace is invisible to the
+    the root, whole-component measurements under ``measure/``, whole lint
+    runs under ``lint/``.  Each namespace is invisible to the
     others' listings, so synthesis-entry tooling (poisoning tests,
     eviction sweeps) never touches the memos.
     """
@@ -287,58 +292,34 @@ class SynthesisCache:
         """Memoize one *pristine* measurement (value, no diagnostics)."""
         return self._write(_MEASURE, key, result)
 
-    # -- per-module lint memo ------------------------------------------------
+    # -- whole-run lint memo -------------------------------------------------
     #
-    # The deep rules (DFG build, SCC/reachability analysis) dominate lint
-    # wall time; the audit of one module is a pure function of the source
-    # texts, the module name, and the enabled-rule set (severity overrides
-    # and baseline suppression are applied *after* the per-module compute
-    # in ``_assemble``, so they stay out of the key).
+    # The audit of a lint run is a pure function of its sources (names and
+    # texts, in order) and the enabled-rule set; severity overrides and
+    # baseline suppression are applied *after* the per-module compute in
+    # ``_assemble``, so they stay out of the key.  The key needs no parse,
+    # so a warm run is served before any file is parsed.
 
     def lint_key(
-        self, source_texts: Iterable[str], module: str,
-        enabled_rules: Iterable[str],
+        self, sources: Iterable[SourceFile], enabled_rules: Iterable[str],
     ) -> str:
-        """Content key of one module's lint result."""
-        return self.lint_keys(source_texts, [module], enabled_rules)[0]
-
-    def lint_keys(
-        self, source_texts: Iterable[str], modules: Iterable[str],
-        enabled_rules: Iterable[str],
-    ) -> list[str]:
-        """:meth:`lint_key` of every module in ``modules``, in order.
-
-        The salt and the source texts are hashed once and the digest state
-        is copied per module, so keying a whole design costs one pass over
-        its sources rather than one pass per module.
-        """
+        """Content key of one lint run's per-module results."""
         from repro.lint.rules import LINT_VERSION
 
-        prefix = hashlib.sha256()
-        prefix.update(self.salt.encode("utf-8"))
-        prefix.update(f"\x00lint{LINT_VERSION}\x00".encode("utf-8"))
-        for text in source_texts:
-            prefix.update(b"\x00source\x00")
-            prefix.update(text.encode("utf-8"))
-        rules = b"".join(
-            f"\x00rule\x00{rule}".encode("utf-8")
-            for rule in sorted(enabled_rules)
+        return content_key(
+            self.salt,
+            f"lint{LINT_VERSION}",
+            "rules=" + ",".join(sorted(set(enabled_rules))),
+            *(f"{source.name}\x00{source.text}" for source in sources),
         )
-        keys = []
-        for module in modules:
-            h = prefix.copy()
-            h.update(b"\x00module\x00" + module.encode("utf-8"))
-            h.update(rules)
-            keys.append(h.hexdigest())
-        return keys
 
     def load_lint(self, key: str):
-        """The stored clean ``ModuleLintResult`` on a hit, else ``None``."""
+        """The stored tuple of ``ModuleLintResult`` on a hit, else ``None``."""
         return self._read(_LINT, key).value
 
-    def store_lint(self, key: str, result) -> bool:
-        """Memoize one error-free module lint result."""
-        return self._write(_LINT, key, result)
+    def store_lint(self, key: str, results) -> bool:
+        """Memoize one run's module lint results, if none has errors."""
+        return self._write(_LINT, key, results)
 
     # -- the one read path and the one write path ----------------------------
 
@@ -438,7 +419,7 @@ class SynthesisCache:
         return self._entries(_MEASURE)
 
     def lint_entries(self) -> list[Path]:
-        """Every per-module lint memo entry on disk, sorted."""
+        """Every lint-run memo entry on disk, sorted."""
         return self._entries(_LINT)
 
     def clear(self) -> int:

@@ -967,9 +967,13 @@ def main(argv: list[str] | None = None) -> int:
     # sit in the trace's elapsed time but in no span.
     from repro.exec import RunInterrupted
 
-    tracer = obs.Tracer()
+    # Only a run whose telemetry is read gets a tracer: an active tracer
+    # keeps every span (a daemon's list grows per request), makes fits
+    # record a FitTrace and pool workers ship their spans back.
+    tracer = obs.Tracer() if args.trace or args.profile else None
     obs.reset_metrics()
-    obs.activate(tracer)
+    if tracer is not None:
+        obs.activate(tracer)
 
     try:
         try:
@@ -986,13 +990,14 @@ def main(argv: list[str] | None = None) -> int:
                                                           severity=Severity.FATAL)])
             return EXIT_FATAL
     finally:
-        obs.deactivate()
-        report = obs.RunReport.collect(tracer)
-        if getattr(args, "trace", None):
-            report.write_jsonl(args.trace)
-            print(f"trace written to {args.trace}", file=sys.stderr)
-        if getattr(args, "profile", False):
-            print(report.render_timings(), file=sys.stderr)
+        if tracer is not None:
+            obs.deactivate()
+            report = obs.RunReport.collect(tracer)
+            if args.trace:
+                report.write_jsonl(args.trace)
+                print(f"trace written to {args.trace}", file=sys.stderr)
+            if args.profile:
+                print(report.render_timings(), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ Layering (bottom up):
   then the catalog-scope duplicate check (ACC001) over the collected
   hashes.  Severity overrides and baseline suppressions from the
   :class:`~repro.lint.config.LintConfig` are applied here.
-* :func:`lint_sources` -- parse + merge source files first (parse failures
-  become ERROR diagnostics, not exceptions), then :func:`lint_design`.
+* :func:`lint_sources` -- probe the whole-run lint memo, and on a miss
+  parse + merge source files (parse failures become ERROR diagnostics,
+  not exceptions) and lint every module as :func:`lint_design` does.
 
 The returned :class:`LintReport` carries the exit-code contract the CLI
 honors: 0 clean, 1 findings, 2 errors (the linter itself could not audit
@@ -42,6 +43,7 @@ from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
 
 if TYPE_CHECKING:
+    from repro.cache import SynthesisCache
     from repro.exec import SupervisionPolicy, WorkerContext
 
 
@@ -243,11 +245,7 @@ def lint_design(
     design: ast.Design,
     config: LintConfig | None = None,
     jobs: int = 1,
-    files: int = 0,
-    extra_errors: Sequence[Diagnostic] = (),
     supervision: SupervisionPolicy | None = None,
-    cache: object = None,
-    source_texts: Sequence[str] | None = None,
 ) -> LintReport:
     """Audit an already-parsed design (all modules + catalog rules).
 
@@ -255,43 +253,24 @@ def lint_design(
     :class:`repro.exec.SupervisionPolicy`; ``None`` uses the defaults); a
     module whose task is quarantined by the supervisor surfaces as a lint
     *error* rather than crashing the audit.
-
-    ``cache`` (a :class:`repro.cache.SynthesisCache`) with ``source_texts``
-    enables the per-module lint memo: modules whose key hits are resolved
-    in the parent -- no DFG rebuild, no pool dispatch -- and clean results
-    of the modules actually computed are stored back.  Severity overrides
-    and baseline suppression are applied after the probe (they are not in
-    the key), so config tweaks never invalidate the memo.
     """
     config = config or LintConfig()
+    results = _lint_modules(design, config, jobs, supervision)
+    return _assemble(results, (), config, 0)
+
+
+def _lint_modules(
+    design: ast.Design,
+    config: LintConfig,
+    jobs: int,
+    supervision: SupervisionPolicy | None,
+) -> list[ModuleLintResult]:
+    """:func:`lint_module` over every module of ``design``, in order."""
     names = list(design.modules)
     with obs_trace.span("lint.design", modules=len(names), jobs=jobs):
-        by_name: dict[str, ModuleLintResult] = {}
-        keys: dict[str, str] = {}
-        to_compute = names
-        if cache is not None and source_texts is not None:
-            enabled = [code for code in RULES if config.enabled(code)]
-            keys = dict(zip(names, cache.lint_keys(  # type: ignore[attr-defined]
-                source_texts, names, enabled
-            )))
-            to_compute = []
-            for name, key in keys.items():
-                hit = cache.load_lint(key)  # type: ignore[attr-defined]
-                if hit is not None:
-                    by_name[name] = hit
-                else:
-                    to_compute.append(name)
-        if jobs > 1 and len(to_compute) > 1:
-            computed = _lint_in_pool(design, to_compute, config, jobs,
-                                     supervision)
-        else:
-            computed = [lint_module(design, n, config) for n in to_compute]
-        for name, result in zip(to_compute, computed):
-            by_name[name] = result
-            if name in keys:
-                cache.store_lint(keys[name], result)  # type: ignore[attr-defined]
-        results = [by_name[n] for n in names]
-        return _assemble(results, extra_errors, config, files)
+        if jobs > 1 and len(names) > 1:
+            return _lint_in_pool(design, names, config, jobs, supervision)
+        return [lint_module(design, n, config) for n in names]
 
 
 def _lint_in_pool(
@@ -301,7 +280,7 @@ def _lint_in_pool(
     jobs: int,
     supervision: SupervisionPolicy | None,
 ) -> list[ModuleLintResult]:
-    """The pool path of :func:`lint_design`: one task per module.
+    """The pool path of :func:`_lint_modules`: one task per module.
 
     A module whose task the supervisor quarantines comes back with the
     supervisor's diagnostic in its ``errors`` (the report's exit code
@@ -343,18 +322,33 @@ def lint_sources(
     config: LintConfig | None = None,
     jobs: int = 1,
     supervision: SupervisionPolicy | None = None,
-    cache: object = None,
+    cache: SynthesisCache | None = None,
 ) -> LintReport:
     """Parse + merge ``sources``, then audit the resulting catalog.
 
     A file that fails to parse (or redefines a module) is quarantined as an
     ERROR diagnostic; the remaining files are still audited, mirroring the
     measurement pipeline's graceful degradation.
+
+    With a ``cache`` the whole run is one memo entry, keyed on the source
+    names and texts and the enabled-rule set and probed before anything
+    is parsed: a hit re-runs only the catalog-scope assembly (ACC001,
+    severity overrides, baseline suppression -- none of them in the key).
+    Only a run without any error is stored.
     """
     config = config or LintConfig()
-    design = ast.Design()
-    errors: list[Diagnostic] = []
-    with obs_trace.span("lint.run", files=len(sources), jobs=jobs):
+    with obs_trace.span("lint.run", files=len(sources), jobs=jobs) as run:
+        key = ""
+        if cache is not None:
+            key = cache.lint_key(
+                sources, [code for code in RULES if config.enabled(code)]
+            )
+            hit = cache.load_lint(key)
+            run.set_attr("memo", "miss" if hit is None else "hit")
+            if hit is not None:
+                return _assemble(hit, (), config, len(sources))
+        design = ast.Design()
+        errors: list[Diagnostic] = []
         for source in sources:
             try:
                 parsed = parse_source(source)
@@ -378,13 +372,8 @@ def lint_sources(
                              "or rename one",
                     )
                 )
-        return lint_design(
-            design,
-            config,
-            jobs=jobs,
-            files=len(sources),
-            extra_errors=errors,
-            supervision=supervision,
-            cache=cache,
-            source_texts=tuple(s.text for s in sources),
-        )
+        results = _lint_modules(design, config, jobs, supervision)
+        if cache is not None and not errors:
+            # The namespace refuses a tuple holding any module error.
+            cache.store_lint(key, tuple(results))
+        return _assemble(results, errors, config, len(sources))
