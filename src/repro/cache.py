@@ -182,28 +182,6 @@ def content_key(*parts: str) -> str:
     return h.hexdigest()
 
 
-def measure_task_key(spec, strict: bool = False, lint: bool = False) -> str:
-    """Content-addressed key of one component-measurement task.
-
-    Folds in the pipeline version salt, the component's sources, top,
-    accounting policy, and the flags that change the result -- so the
-    memo and a resumed journal only reuse outcomes that would be
-    recomputed identically.
-    """
-    parts = [
-        SALT,
-        "measure-task",
-        spec.name,
-        spec.top,
-        repr(spec.policy),
-        f"strict={bool(strict)}",
-        f"lint={bool(lint)}",
-    ]
-    for source in spec.sources:
-        parts.append(f"{source.name}\x00{source.text}")
-    return content_key(*parts)
-
-
 @dataclass(frozen=True)
 class SynthesisCache:
     """A content-addressed synthesis-report cache rooted at ``directory``.
@@ -278,11 +256,24 @@ class SynthesisCache:
                         lint: bool = False) -> str:
         """Content key of one whole-component measurement.
 
-        Identical to the journal's task key (same content, same salt): a
-        memo hit is exactly a journal skip that survives across runs
-        without a journal file.
+        Folds in the pipeline version salt, the component's sources, top,
+        accounting policy, and the flags that change the result -- so a
+        hit is only served where a recompute would be identical.  The
+        memo is also the resume log of an interrupted batch: a re-run
+        dispatches only the components with no entry under this key.
         """
-        return measure_task_key(spec, strict, lint)
+        parts = [
+            SALT,
+            "measure-task",
+            spec.name,
+            spec.top,
+            repr(spec.policy),
+            f"strict={bool(strict)}",
+            f"lint={bool(lint)}",
+        ]
+        for source in spec.sources:
+            parts.append(f"{source.name}\x00{source.text}")
+        return content_key(*parts)
 
     def load_measurement(self, key: str):
         """The stored pristine ``Result`` on a hit, else ``None``."""

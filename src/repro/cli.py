@@ -33,9 +33,10 @@ every subcommand maps its outcome onto three exit codes --
 * ``1`` -- partial/degraded result (inputs quarantined, a fallback fitter
   engaged, or convergence unverified), diagnostics on stderr;
 * ``2`` -- fatal: no usable result;
-* ``130`` -- interrupted (SIGINT/SIGTERM): the worker pool was drained,
-  completed results were flushed to the ``--journal`` file (when given),
-  and re-running with the same journal resumes where the run stopped.
+* ``130`` -- interrupted (SIGINT/SIGTERM): the worker pool was drained;
+  completed results are in the cache; re-run with the same
+  ``--cache-dir`` to resume (only unfinished work is measured again).
+  Degraded results and ``--no-cache`` runs do not resume.
 
 ``--strict`` turns any degradation into a failure (exit 2) and
 ``--keep-going`` quarantines malformed dataset rows instead of aborting.
@@ -91,7 +92,7 @@ def _supervision_from_args(
     """The run's supervision policy (``--jobs`` pools only).
 
     One-shot CLI runs install signal handlers so Ctrl-C drains the pool
-    and flushes the journal instead of dumping a traceback; the serve
+    instead of dumping a traceback; the serve
     daemon passes ``handle_signals=False`` because its pool runs on a
     dispatcher thread (signals stay with the asyncio loop, which drains
     via :func:`repro.exec.request_interrupt`).  ``--deadline 0`` disables
@@ -132,16 +133,6 @@ def _chaos_from_args(args: argparse.Namespace):
     }
 
 
-def _journal_from_args(args: argparse.Namespace):
-    """The run's crash-safe journal (``--journal FILE``), or None."""
-    journal = getattr(args, "journal", None)
-    if not journal:
-        return None
-    from repro.exec import RunJournal
-
-    return RunJournal(Path(journal))
-
-
 def _cache_from_args(args: argparse.Namespace):
     """The run's synthesis cache: default location, --cache-dir, or None.
 
@@ -158,14 +149,13 @@ def _cache_from_args(args: argparse.Namespace):
 
 
 def _engine_from_args(args: argparse.Namespace, handle_signals: bool = True):
-    """The run's :class:`~repro.core.engine.Engine` (cache, pool, journal)."""
+    """The run's :class:`~repro.core.engine.Engine` (cache, pool)."""
     from repro.core.engine import Engine
 
     return Engine(
         cache=_cache_from_args(args),
         jobs=args.jobs,
         supervision=_supervision_from_args(args, handle_signals),
-        journal=_journal_from_args(args),
     )
 
 
@@ -667,12 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the on-disk synthesis cache for this run",
     )
-    common.add_argument(
-        "--journal", metavar="FILE",
-        help="crash-safe run journal for --jobs runs: completed tasks are "
-             "appended as they finish, and re-running with the same FILE "
-             "resumes, re-dispatching only unfinished work",
-    )
+    # Removed option, kept hidden so that old scripts get a clear exit 2.
+    common.add_argument("--journal", metavar="FILE", help=argparse.SUPPRESS)
     common.add_argument(
         "--deadline", type=float, default=None, metavar="S",
         help="per-task deadline in seconds for --jobs workers; a task that "
@@ -963,6 +949,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "journal", None) is not None:
+        print("error: --journal was removed; the cache (--cache-dir, on by "
+              "default) is the resume mechanism: re-run with the same "
+              "--cache-dir", file=sys.stderr)
+        return EXIT_FATAL
     # Imported before the tracer's clock starts: a cold import here would
     # sit in the trace's elapsed time but in no span.
     from repro.exec import RunInterrupted

@@ -5,7 +5,7 @@
 * the content-addressed :class:`~repro.cache.SynthesisCache` (and its
   whole-component measurement memo),
 * the :class:`~repro.exec.SupervisionPolicy` governing the worker pool,
-* the pool width (``jobs``) and optional crash-safe journal,
+* the pool width (``jobs``),
 
 -- and exposes the pipeline entry points :meth:`measure_component` /
 :meth:`measure_component_safe` / :meth:`measure_components` /
@@ -60,7 +60,7 @@ if TYPE_CHECKING:
     from repro.cache import SynthesisCache
     from repro.core.estimator import DesignEffortEstimator
     from repro.data.dataset import EffortDataset
-    from repro.exec import RunJournal, SupervisionPolicy, WorkerContext
+    from repro.exec import SupervisionPolicy, WorkerContext
     from repro.lint.engine import LintReport
     from repro.lint.rules import LintConfig
 
@@ -148,12 +148,16 @@ def synthesize_specialization(
     params: Mapping[str, int],
     label: str,
     strict: bool,
+    cache: "SynthesisCache | None" = None,
+    key: str | None = None,
 ) -> tuple[SynthesisReport | None, tuple[Diagnostic, ...]]:
     """Elaborate and synthesize one specialization under its own boundary.
 
     The unit of work of the specialization loop, inline or in a pool
     worker: the report (``None`` when it failed) plus the diagnostics the
-    failure left.  ``strict`` raises the failure instead.
+    failure left.  ``strict`` raises the failure instead.  A report is
+    stored in ``cache`` under ``key`` as soon as it exists, so a run
+    killed later still leaves it for the next run to hit.
     """
 
     def _synth():
@@ -162,6 +166,8 @@ def synthesize_specialization(
 
     boundary = StageBoundary(component=label, strict=strict)
     report = boundary.run("synthesize", _synth)
+    if report is not None and cache is not None:
+        cache.store(key, report)
     return report, tuple(boundary.diagnostics)
 
 
@@ -191,8 +197,6 @@ class Engine:
         jobs: worker-pool width (1 = inline sequential execution).
         supervision: pool supervision policy (:mod:`repro.exec`);
             ``None`` uses the defaults.
-        journal: crash-safe run journal (path or
-            :class:`~repro.exec.RunJournal`) for pool-run resume.
     """
 
     def __init__(
@@ -201,12 +205,10 @@ class Engine:
         cache: "SynthesisCache | None" = None,
         jobs: int = 1,
         supervision: "SupervisionPolicy | None" = None,
-        journal: "RunJournal | str | None" = None,
     ) -> None:
         self.cache = cache
         self.jobs = max(1, int(jobs))
         self.supervision = supervision
-        self.journal = journal
         self._estimators: dict[tuple, "DesignEffortEstimator"] = {}
 
     # -- measurement -----------------------------------------------------------
@@ -357,13 +359,10 @@ class Engine:
             outcomes = run_pool(
                 _synthesize_step,
                 {"design": design, "work": work, "label": label,
-                 "strict": strict},
+                 "strict": strict, "cache": self.cache,
+                 "keys": tuple(cache_keys.get(k) for k, _, _ in to_compute)},
                 [f"{label}:{m}" for m, _ in work],
                 kind="s", jobs=self.jobs, supervision=self.supervision,
-                journal=self.journal,
-                key=lambda i: synthesis_task_key(
-                    source_texts, *work[i], strict
-                ),
             )
             for (key, _m, _p), outcome in zip(to_compute, outcomes):
                 if outcome.error is not None:
@@ -388,16 +387,13 @@ class Engine:
         else:
             for key, module_name, params in to_compute:
                 report, diagnostics = synthesize_specialization(
-                    design, module_name, params, label, strict
+                    design, module_name, params, label, strict,
+                    self.cache, cache_keys.get(key),
                 )
                 if report is None:
                     failed[key] = diagnostics
                 else:
                     reports[key] = report
-        if self.cache is not None:
-            for key, _m, _p in to_compute:
-                if key in reports:
-                    self.cache.store(cache_keys[key], reports[key])
 
         per_spec: list[SynthesisReport] = []
         quarantined: list[tuple[str, Mapping[str, int]]] = []
@@ -454,8 +450,11 @@ class Engine:
 
         The whole-component measurement memo is probed here, in the
         parent, so a warm component is served straight from the cache
-        and a fully warm batch never dispatches a task; pristine fresh
-        measurements are stored for next time.  ``pool`` selects how the
+        and a fully warm batch never dispatches a task.  Each pristine
+        fresh measurement is stored the moment it is computed, inline or
+        in its pool worker, so the memo is also the resume log: re-running
+        an interrupted batch on the same cache measures only what is
+        missing.  ``pool`` selects how the
         misses run: ``None`` (the CLI default) uses the supervised pool
         only when it pays (``jobs > 1`` and more than one spec); ``True``
         forces the pool even for a single component (the serve daemon
@@ -476,67 +475,75 @@ class Engine:
             self.jobs > 1 and len(specs) > 1 if pool is None else pool
         )
         results: dict[str, Result[ComponentMeasurement]] = {}
-        memo_keys: dict[str, str] = {}
-        misses: list[ComponentSpec] = []
+        misses: list[tuple[ComponentSpec, str | None]] = []
         for spec in specs:
+            key = None
             if self.cache is not None:
-                memo_keys[spec.name] = self.cache.measurement_key(
-                    spec, strict, lint
-                )
-                hit = self.cache.load_measurement(memo_keys[spec.name])
+                key = self.cache.measurement_key(spec, strict, lint)
+                hit = self.cache.load_measurement(key)
                 if hit is not None:
                     results[spec.name] = hit
                     continue
-            misses.append(spec)
+            misses.append((spec, key))
         if use_pool and misses:
-            fresh = self._measure_in_pool(misses, strict, lint)
+            results.update(self._measure_in_pool(misses, strict, lint))
         else:
-            fresh = {
-                spec.name: self.measure_component_safe(
-                    spec.sources, spec.top, name=spec.name,
-                    policy=spec.policy, strict=strict, lint=lint,
+            for spec, key in misses:
+                results[spec.name] = self._measure_and_store(
+                    spec, key, strict, lint
                 )
-                for spec in misses
-            }
-        for name, result in fresh.items():
-            if name in memo_keys:
-                # store_measurement refuses degraded results.
-                self.cache.store_measurement(memo_keys[name], result)
-        results.update(fresh)
         return BatchMeasurement(
             results={s.name: results[s.name] for s in specs if s.name in results}
         )
 
+    def _measure_and_store(
+        self,
+        spec: ComponentSpec,
+        key: str | None,
+        strict: bool,
+        lint: bool,
+    ) -> Result[ComponentMeasurement]:
+        """Measure one batch spec and memoize it under ``key`` at once.
+
+        The one store site of the memo, run inline or in a pool worker;
+        ``store_measurement`` refuses degraded results.
+        """
+        result = self.measure_component_safe(
+            spec.sources, spec.top, name=spec.name,
+            policy=spec.policy, strict=strict, lint=lint,
+        )
+        if key is not None:
+            self.cache.store_measurement(key, result)
+        return result
+
     def _measure_in_pool(
         self,
-        specs: Sequence[ComponentSpec],
+        misses: Sequence[tuple[ComponentSpec, str | None]],
         strict: bool,
         lint: bool,
     ) -> dict[str, Result[ComponentMeasurement]]:
         """The pool path of :meth:`measure_components`: one task per spec.
 
-        Workers reach ``self.cache`` for per-specialization synthesis
-        products.  A spec whose task the supervisor quarantines (it kept
-        hanging, crashing, or exhausting its worker) comes back as a
-        failed ``Result`` carrying the stage-``"exec"`` diagnostic.  Only
-        strict mode lets an exception out of a worker; the first in
-        batch order is re-raised, matching sequential fail-fast.
+        ``misses`` pairs each spec with its memo key (``None`` without a
+        cache); workers store through ``self.cache``.  A spec whose task
+        the supervisor quarantines (it kept hanging, crashing, or
+        exhausting its worker) comes back as a failed ``Result`` carrying
+        the stage-``"exec"`` diagnostic.  Only strict mode lets an
+        exception out of a worker; the first in batch order is re-raised,
+        matching sequential fail-fast.
         """
-        from repro.cache import measure_task_key
         from repro.exec.pool import run_pool
 
-        specs = tuple(specs)
+        specs = tuple(spec for spec, _ in misses)
         with obs_trace.span(
             "measure.batch", components=len(specs), jobs=self.jobs
         ):
             outcomes = run_pool(
                 _measure_step,
-                {"specs": specs, "strict": strict, "lint": lint,
-                 "cache": self.cache},
+                {"specs": specs, "keys": tuple(key for _, key in misses),
+                 "strict": strict, "lint": lint, "cache": self.cache},
                 [spec.name for spec in specs],
                 kind="b", jobs=self.jobs, supervision=self.supervision,
-                journal=self.journal,
-                key=lambda i: measure_task_key(specs[i], strict, lint),
             )
         for outcome in outcomes:
             if outcome.error is not None:
@@ -654,14 +661,9 @@ def _measure_step(
     inputs: "WorkerContext", index: int
 ) -> tuple[Result[ComponentMeasurement], tuple[()]]:
     """Worker side of :meth:`Engine._measure_in_pool`: measure spec ``index``."""
-    spec = inputs["specs"][index]
-    result = Engine(cache=inputs["cache"]).measure_component_safe(
-        spec.sources,
-        spec.top,
-        name=spec.name,
-        policy=spec.policy,
-        strict=inputs["strict"],
-        lint=inputs["lint"],
+    result = Engine(cache=inputs["cache"])._measure_and_store(
+        inputs["specs"][index], inputs["keys"][index],
+        inputs["strict"], inputs["lint"],
     )
     return result, ()
 
@@ -672,30 +674,6 @@ def _synthesize_step(
     """Worker side of the specialization sweep: synthesize item ``index``."""
     module, params = inputs["work"][index]
     return synthesize_specialization(
-        inputs["design"], module, params, inputs["label"], inputs["strict"]
+        inputs["design"], module, params, inputs["label"], inputs["strict"],
+        inputs["cache"], inputs["keys"][index],
     )
-
-
-def synthesis_task_key(
-    source_texts: Sequence[str],
-    module: str,
-    params: Mapping[str, int],
-    strict: bool,
-) -> str:
-    """Content-addressed journal key of one specialization-synthesis task.
-
-    The constant ``safe=True`` part is kept from when a second, raising
-    synthesis path existed, so journals written back then still resume.
-    """
-    from repro.cache import SALT, content_key
-
-    parts = [
-        SALT,
-        "synthesis-task",
-        module,
-        "safe=True",
-        f"strict={bool(strict)}",
-    ]
-    parts.extend(f"{name}={int(value)}" for name, value in sorted(params.items()))
-    parts.extend(source_texts)
-    return content_key(*parts)

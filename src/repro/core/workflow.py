@@ -14,8 +14,8 @@ This is the uComplexity measurement flow of Section 2:
    compounded index.
 
 The pipeline itself runs on :class:`repro.core.engine.Engine` (one
-long-lived object holding the cache, pool width, supervision policy, and
-journal).  This module holds the data it passes around: batch specs,
+long-lived object holding the cache, pool width and supervision policy;
+the cache doubles as the resume log of an interrupted run).  This module holds the data it passes around: batch specs,
 measurements, and batch results.
 """
 

@@ -20,8 +20,8 @@ without chasing keyword arguments through the stack:
   allocation into a contained ``MemoryError`` (soft failure) or, at
   worst, a worker death the supervisor absorbs -- never pool collapse.
 * **Signals** -- ``handle_signals`` opts the run into SIGINT/SIGTERM
-  handling: the pool drains, the journal stays flushed, and the run
-  raises :class:`~repro.exec.supervisor.RunInterrupted` for the CLI to
+  handling: the pool drains (finished work is already in the cache) and
+  the run raises :class:`~repro.exec.supervisor.RunInterrupted` for the CLI to
   map onto its documented exit code.
 * **Chaos** -- ``chaos`` maps task labels to fault injectors from
   :mod:`repro.runtime.faultinject` (``hang_worker``/``kill_worker``/

@@ -15,9 +15,10 @@ keeps the sequential contracts bit for bit:
   never as a pool-crashing exception.  Strict mode ferries the exception
   to the parent (``HdlError`` pickles faithfully).
 * **Supervision.**  Every run is a :class:`~repro.exec.Supervisor` run:
-  deadlines, retry with backoff, poison-task quarantine, memory
-  ceilings, and (with a :class:`~repro.exec.RunJournal`) crash-safe
-  resume.
+  deadlines, retry with backoff, poison-task quarantine, and memory
+  ceilings.  Persistence is the step's business: the pipeline's steps
+  store their products in the content-addressed cache as they finish,
+  which is what lets an interrupted run resume.
 * **Telemetry.**  Each task runs under a fresh metrics registry and, when
   the parent is traced, its own tracer.  On join the parent merges the
   worker's metrics and grafts its span tree under namespaced ids
@@ -36,7 +37,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Result
 
-from repro.exec.journal import RunJournal
 from repro.exec.policy import SupervisionPolicy
 from repro.exec.supervisor import Supervisor
 from repro.exec.task import TaskOutcome, WorkerContext, run_traced_task
@@ -59,15 +59,12 @@ def run_pool(
     kind: str,
     jobs: int,
     supervision: SupervisionPolicy | None = None,
-    journal: RunJournal | str | None = None,
-    key: Callable[[int], str] | None = None,
 ) -> list[TaskOutcome]:
     """Run ``step`` for every index of ``labels`` across a supervised pool.
 
     ``step`` must be a module-level function (it travels by reference in
     the context); ``inputs`` are the run's shared inputs, read back by
-    the step.  ``kind`` prefixes the run's telemetry namespace.  With a
-    ``journal``, ``key(i)`` is task ``i``'s content-addressed journal key.
+    the step.  ``kind`` prefixes the run's telemetry namespace.
 
     Outcomes line up with ``labels``.  Worker telemetry is already merged,
     and span ids in the outcome's diagnostics -- and in a :class:`Result`
@@ -84,14 +81,9 @@ def run_pool(
         "capture_trace": obs_trace.active() is not None,
     })
     n = len(labels)
-    journal = RunJournal.open(journal)
-    keys = (
-        [key(i) for i in range(n)]
-        if journal is not None and key is not None else None
-    )
     outcomes = Supervisor(jobs, supervision).run(
         _run_step, list(range(n)),
-        labels=list(labels), keys=keys, journal=journal,
+        labels=list(labels),
         namespaces=[f"{run_ns}.w{i}" for i in range(n)],
         context=context,
     )

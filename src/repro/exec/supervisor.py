@@ -18,12 +18,11 @@ a bare process-pool executor cannot:
   ``max_retries`` soft failures is quarantined: its outcome is a
   structured :class:`~repro.runtime.diagnostics.Diagnostic` (stage
   ``"exec"``), never an unhandled crash or an infinite retry loop.
-* **Resume.**  With a :class:`~repro.exec.journal.RunJournal` and
-  content-addressed task keys, completed outcomes are appended as they
-  finish; a re-run after a crash skips straight past them.
 * **Interrupts.**  With ``policy.handle_signals``, SIGINT/SIGTERM drain
-  the pool, leave the journal flushed, and surface as
-  :class:`RunInterrupted` for the CLI's documented exit code.
+  the pool and surface as :class:`RunInterrupted` for the CLI's
+  documented exit code.  The supervisor persists nothing: the pipeline's
+  tasks store their products in the cache as they finish, so a re-run
+  resumes by hitting it.
 * **Degradation.**  If workers cannot be spawned at all (fork failure,
   respawn budget exhausted with none left alive), the remaining tasks run
   inline in the parent -- slower, without deadlines, never wrong --
@@ -32,7 +31,7 @@ a bare process-pool executor cannot:
 Telemetry flows through :mod:`repro.obs`: ``exec.dispatched``,
 ``exec.completed``, ``exec.retries``, ``exec.kills``,
 ``exec.deadline_kills``, ``exec.worker_deaths``, ``exec.respawns``,
-``exec.quarantined``, ``exec.journal_skips``, ``exec.heartbeats``, the
+``exec.quarantined``, ``exec.heartbeats``, the
 ``exec.workers`` gauge, and the ``exec.deadline_margin_s`` histogram
 (how close completed tasks came to their deadline).
 
@@ -69,7 +68,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Severity
 
-from repro.exec.journal import RunJournal
 from repro.exec.policy import SupervisionPolicy
 from repro.exec.task import TaskOutcome, WorkerContext
 from repro.exec.workers import WorkerHandle, using_context
@@ -88,8 +86,7 @@ AUTO_CHUNK_CAP = 16
 # thread's signal handling.  ``request_interrupt`` is the thread-safe
 # equivalent of delivering SIGTERM to a supervised run: the monitor loop
 # checks the event alongside its own signal flag and raises
-# :class:`RunInterrupted`, draining the pool and flushing the journal the
-# same way.  The flag is process-global (one serve daemon per process);
+# :class:`RunInterrupted`, draining the pool the same way.  The flag is process-global (one serve daemon per process);
 # ``clear_interrupt`` resets it before a new run.
 
 _EXTERNAL_INTERRUPT = threading.Event()
@@ -116,8 +113,8 @@ def interrupt_requested() -> bool:
 class RunInterrupted(RuntimeError):
     """A supervised run was stopped by SIGINT/SIGTERM.
 
-    Completed tasks are already journaled; ``completed``/``total`` report
-    how far the run got so the CLI can say so before exiting.
+    ``completed``/``total`` report how far the run got so the CLI can say
+    so before exiting.
     """
 
     def __init__(self, signum: int, completed: int, total: int) -> None:
@@ -130,8 +127,8 @@ class RunInterrupted(RuntimeError):
             name = f"signal {signum}"
         super().__init__(
             f"run interrupted by {name}: {completed}/{total} tasks finished "
-            "(journaled results are preserved; re-run with the same "
-            "--journal to resume)"
+            "(completed results are in the cache; re-run with the same "
+            "--cache-dir to resume)"
         )
 
 
@@ -142,7 +139,6 @@ class _TaskState:
     index: int
     payload: Any
     label: str
-    key: str | None = None
     namespace: str | None = None
     soft_failures: int = 0
     kills: int = 0
@@ -164,7 +160,7 @@ QUARANTINE_HINT = (
 
 
 class Supervisor:
-    """Run batches of picklable tasks under deadlines, retries, and a journal."""
+    """Run batches of picklable tasks under deadlines and retries."""
 
     def __init__(self, jobs: int, policy: SupervisionPolicy | None = None) -> None:
         self.jobs = max(1, int(jobs))
@@ -179,18 +175,13 @@ class Supervisor:
         task: Callable[[Any], TaskOutcome],
         payloads: Sequence[Any],
         *,
-        keys: Sequence[str] | None = None,
         labels: Sequence[str] | None = None,
-        journal: RunJournal | None = None,
         namespaces: Sequence[str] | None = None,
         context: WorkerContext | None = None,
     ) -> list[TaskOutcome]:
         """Execute ``task`` over ``payloads``; outcomes align with payloads.
 
-        ``keys`` (content-addressed, parallel to ``payloads``) enable the
-        journal: journaled keys are returned without dispatch, completed
-        tasks are appended as they finish.  ``labels`` name tasks in
-        diagnostics and chaos plans (default ``task<i>``).  ``namespaces``
+        ``labels`` name tasks in diagnostics and chaos plans (default ``task<i>``).  ``namespaces``
         (parallel to ``payloads``) are the tasks' worker-telemetry
         namespaces; when given, each ``exec.task`` span carries its task's
         namespace as the ``ns`` attribute, which is what lets the timeline
@@ -203,37 +194,22 @@ class Supervisor:
         n = len(payloads)
         if labels is None:
             labels = [f"task{i}" for i in range(n)]
-        if keys is None or journal is None:
-            keys = [None] * n  # type: ignore[list-item]
         outcomes: list[TaskOutcome | None] = [None] * n
-
-        skipped = 0
-        for i in range(n):
-            if keys[i] is not None and journal is not None:
-                done = journal.get(keys[i])
-                if done is not None:
-                    outcomes[i] = done
-                    skipped += 1
-        if skipped:
-            obs_metrics.counter("exec.journal_skips").inc(skipped)
         states = [
             _TaskState(index=i, payload=payloads[i], label=labels[i],
-                       key=keys[i],
                        namespace=namespaces[i] if namespaces else None)
             for i in range(n)
-            if outcomes[i] is None
         ]
         if not states:
-            return [o for o in outcomes if o is not None]
+            return []
 
         task, states = self._apply_chaos(task, states)
         obs_metrics.gauge("parallel.jobs").set(self.jobs)
         with obs_trace.span(
             "exec.supervised", tasks=len(states), jobs=self.jobs,
-            skipped=skipped,
         ):
             with self._signals_installed():
-                self._run_supervised(task, states, outcomes, journal, context)
+                self._run_supervised(task, states, outcomes, context)
         # Every slot is filled on a normal exit; the guard keeps alignment
         # even if a future refactor leaks a hole.  It runs in-process, so
         # the worker context must be installed around it.
@@ -297,7 +273,6 @@ class Supervisor:
         task: Callable[[Any], TaskOutcome],
         states: list[_TaskState],
         outcomes: list[TaskOutcome | None],
-        journal: RunJournal | None,
         context: WorkerContext | None = None,
     ) -> None:
         policy = self.policy
@@ -518,8 +493,6 @@ class Supervisor:
             completed += 1
             obs_metrics.counter("exec.completed").inc()
             obs_metrics.counter("parallel.tasks").inc()
-            if journal is not None and state.key is not None:
-                journal.record(state.key, outcome)
 
         # Initial pool: one worker per job, capped by the work available.
         for _ in range(min(self.jobs, total)):
@@ -571,8 +544,6 @@ class Supervisor:
                         completed += 1
                         obs_metrics.counter("exec.completed").inc()
                         obs_metrics.counter("parallel.tasks").inc()
-                        if journal is not None and state.key is not None:
-                            journal.record(state.key, outcome)
                         paint_progress()
                     queued.clear()
                     continue

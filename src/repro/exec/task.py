@@ -110,9 +110,14 @@ def annotate_worker_stats(
     if telemetry is None or not isinstance(telemetry.metrics, dict):
         return
     dump = telemetry.metrics
-    hists = dump.setdefault("histogram_values", {})
-    hists.setdefault("exec.worker_unpickle_s", []).append(float(unpickle_s))
-    hists.setdefault("exec.worker_compute_s", []).append(float(compute_s))
+    hists = dump.setdefault("histograms", {})
+    for name, value in (("exec.worker_unpickle_s", unpickle_s),
+                        ("exec.worker_compute_s", compute_s)):
+        hist = obs_metrics.Histogram(name)
+        if name in hists:
+            hist.fold(hists[name])
+        hist.observe(value)
+        hists[name] = hist.dump()
     counters = dump.setdefault("counters", {})
     counters["exec.worker_payload_bytes"] = (
         counters.get("exec.worker_payload_bytes", 0.0) + float(payload_bytes)

@@ -21,10 +21,19 @@ a time, and hot-path increments must stay cheap.
 
 from __future__ import annotations
 
+import math
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+#: How many of a histogram's most recent observations it keeps for
+#: percentile queries.  ``count``/``sum``/``min``/``max`` stay exact over
+#: every observation; only the percentiles look at this window, so a
+#: long-lived process (the serve daemon) observes per request in bounded
+#: memory.
+HISTOGRAM_WINDOW = 4096
 
 
 @dataclass
@@ -53,24 +62,46 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """A distribution of observed values with percentile queries."""
+    """A distribution of observed values with percentile queries.
+
+    ``count``, ``sum``, ``min`` and ``max`` are exact running totals;
+    ``values`` holds the most recent :data:`HISTOGRAM_WINDOW`
+    observations, which the percentiles are computed over.
+    """
 
     name: str
-    values: list[float] = field(default_factory=list)
+    count: int = 0
+    sum: float = 0.0
+    min: float = math.inf
+    max: float = -math.inf
+    values: deque = field(
+        default_factory=lambda: deque(maxlen=HISTOGRAM_WINDOW)
+    )
 
     def observe(self, value: float) -> None:
-        self.values.append(float(value))
+        value = float(value)
+        self.count += 1
+        self.sum += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
+        self.values.append(value)
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
+    def dump(self) -> dict[str, Any]:
+        """The exact totals plus the window, for :meth:`fold`."""
+        return {"count": self.count, "sum": self.sum, "min": self.min,
+                "max": self.max, "values": list(self.values)}
 
-    @property
-    def sum(self) -> float:
-        return float(sum(self.values))
+    def fold(self, dump: dict[str, Any]) -> None:
+        """Add another histogram's :meth:`dump` to this one: the totals
+        add and the window takes the dump's recent values."""
+        self.count += int(dump["count"])
+        self.sum += float(dump["sum"])
+        self.min = min(self.min, float(dump["min"]))
+        self.max = max(self.max, float(dump["max"]))
+        self.values.extend(dump["values"])
 
     def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100), linearly interpolated."""
+        """The ``p``-th percentile (0..100) of the window, interpolated."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self.values:
@@ -86,13 +117,13 @@ class Histogram:
         return ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
 
     def snapshot(self) -> dict[str, float]:
-        if not self.values:
+        if not self.count:
             return {"count": 0, "sum": 0.0}
         return {
             "count": self.count,
             "sum": self.sum,
-            "min": min(self.values),
-            "max": max(self.values),
+            "min": self.min,
+            "max": self.max,
             "p50": self.percentile(50.0),
             "p90": self.percentile(90.0),
             "p99": self.percentile(99.0),
@@ -149,12 +180,13 @@ class MetricsRegistry:
             }
 
     def dump(self) -> dict[str, Any]:
-        """A lossless, mergeable export of this registry.
+        """A mergeable export of this registry.
 
         Unlike :meth:`snapshot` (which aggregates histograms down to
-        percentiles), ``dump`` keeps the raw observations, so a pool
-        worker's registry can be folded into the parent's with
-        :meth:`merge` and no information is lost.
+        percentiles), ``dump`` keeps each histogram's exact totals and
+        its window of raw observations (:meth:`Histogram.dump`), so a
+        pool worker's registry folds into the parent's with :meth:`merge`
+        and no count is lost.
         """
         with self._lock:
             return {
@@ -164,16 +196,15 @@ class MetricsRegistry:
                 "gauges": {
                     n: g.value for n, g in sorted(self._gauges.items())
                 },
-                "histogram_values": {
-                    n: list(h.values)
-                    for n, h in sorted(self._histograms.items())
+                "histograms": {
+                    n: h.dump() for n, h in sorted(self._histograms.items())
                 },
             }
 
     def merge(self, dump: dict[str, Any]) -> None:
         """Fold a worker registry :meth:`dump` into this registry.
 
-        Counters add, histograms re-observe every raw value, and gauges
+        Counters add, histograms fold (:meth:`Histogram.fold`), and gauges
         (last-write-wins by definition) take the worker's value.  This is
         the join-side half of the worker-snapshot contract used by
         :mod:`repro.exec.pool`: process-local instruments bumped in a pool
@@ -184,10 +215,8 @@ class MetricsRegistry:
                 self.counter(name).inc(float(value))
             for name, value in dump.get("gauges", {}).items():
                 self.gauge(name).set(float(value))
-            for name, values in dump.get("histogram_values", {}).items():
-                hist = self.histogram(name)
-                for value in values:
-                    hist.observe(float(value))
+            for name, hist in dump.get("histograms", {}).items():
+                self.histogram(name).fold(hist)
 
     def reset(self) -> None:
         with self._lock:

@@ -20,8 +20,7 @@ from repro.core.engine import Engine
 from repro.core.workflow import ComponentSpec
 from repro.designs.loader import load_sources
 from repro.exec import SupervisionPolicy
-from repro.hdl.source import SourceFile
-from repro.core.engine import synthesis_task_key
+from repro.hdl.source import HdlError, SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.faultinject import truncate_source
 from tests.core.test_golden_measure import INLINE, digest
@@ -191,27 +190,6 @@ class TestEngineEquivalence:
 
 
 class TestStrictQuarantine:
-    def test_synthesis_task_key_is_unchanged(self, monkeypatch):
-        # A journal written while the key still took a ``safe`` flag
-        # (always True on the surviving path) must keep resuming.  The
-        # first pin was recorded under the ``flow1`` salt: with the salt
-        # patched back, the key formula must still produce it.
-        def key():
-            return synthesis_task_key(
-                ["module m; endmodule"], "m", {"W": 2}, strict=False
-            )
-
-        assert key() == (
-            "1fa1dbfcc4e5e3c4747115c26c1e61f23ab8fe74515122d012f21cc74c83d520"
-        )
-        monkeypatch.setattr(
-            "repro.cache.SALT",
-            "ucx-cache1|verilog1|vhdl1|elab1|synth2|flow1",
-        )
-        assert key() == (
-            "2139b7d45c2953179ba3e0a8a9a808d403cf0ca403f623875d52e5d351cc31cf"
-        )
-
     @pytest.mark.parametrize(("strict", "lint", "expected"), [
         (False, False,
          "f0ec09ed9394a9ad77b9897e44a39e7cd900fe8a69a3ae372e7894e5a29c0c75"),
@@ -220,8 +198,8 @@ class TestStrictQuarantine:
     ])
     def test_measurement_key_is_unchanged(self, tmp_path, monkeypatch,
                                           strict, lint, expected):
-        # The memo and the journal share this key: a changed formula
-        # would silently turn every existing cache entry into a miss.
+        # A changed formula would silently turn every existing cache
+        # entry into a miss.
         monkeypatch.setattr(
             "repro.cache.SALT", "ucx-cache1|verilog1|vhdl1|elab1|synth2|flow2"
         )
@@ -263,3 +241,50 @@ class TestDuplicateNames:
                 pytest.raises(ValueError, match="'c'"):
             Engine(cache=cache, jobs=jobs).measure_components(specs)
         assert "cache.measure_misses" not in registry.dump()["counters"]
+
+
+class TestStoreWhereComputed:
+    """Each pristine product is cached by the process that computed it,
+    so the cache is also the resume log of an interrupted batch."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_batch_stores_each_pristine_result_once(self, tmp_path,
+                                                         jobs):
+        cache = SynthesisCache(tmp_path / "cache")
+        engine = Engine(cache=cache, jobs=jobs)
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.using(registry):
+            batch = engine.measure_components(_specs())
+        counters = registry.snapshot()["counters"]
+        pristine = [r for r in batch.results.values()
+                    if r.value is not None and not r.diagnostics]
+        assert len(pristine) == 2  # the corrupt component is degraded
+        assert counters["cache.measure_stores"] == 2.0
+        assert len(cache.measurement_entries()) == 2
+
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.using(registry):
+            engine.measure_components(_specs())
+        counters = registry.snapshot()["counters"]
+        assert counters["cache.measure_hits"] == 2.0
+        assert "cache.measure_stores" not in counters
+
+    @pytest.mark.parametrize(("jobs", "cached"), [
+        (1, {"adder"}),           # fail-fast: mux never ran
+        (2, {"adder", "mux"}),    # the pool ran every task before the raise
+    ])
+    def test_strict_batch_that_raises_keeps_pristine_siblings(
+            self, tmp_path, jobs, cached):
+        cache = SynthesisCache(tmp_path / "cache")
+        specs = [_specs()[0], _specs()[2], _specs()[1]]  # adder, corrupt, mux
+        with pytest.raises(HdlError):
+            Engine(cache=cache, jobs=jobs).measure_components(
+                specs, strict=True
+            )
+        stored = {
+            spec.name for spec in specs
+            if cache.load_measurement(
+                cache.measurement_key(spec, strict=True)
+            ) is not None
+        }
+        assert stored == cached

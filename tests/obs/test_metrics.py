@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import HISTOGRAM_WINDOW, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -68,6 +68,76 @@ class TestHistogram:
         assert snap["max"] == 100.0
         assert snap["p50"] == pytest.approx(50.5)
         assert snap["p90"] == pytest.approx(90.1)
+
+
+class TestHistogramWindow:
+    """A long-lived process observes per request in bounded memory."""
+
+    N = 10_000
+
+    def _filled(self):
+        h = Histogram("t")
+        for v in range(self.N):
+            h.observe(float(v))
+        return h
+
+    def test_values_stay_within_window_and_totals_stay_exact(self):
+        assert HISTOGRAM_WINDOW < self.N
+        h = self._filled()
+        assert len(h.values) == HISTOGRAM_WINDOW
+        assert list(h.values) == [
+            float(v) for v in range(self.N - HISTOGRAM_WINDOW, self.N)
+        ]
+        snap = h.snapshot()
+        assert snap["count"] == self.N
+        assert snap["sum"] == float(sum(range(self.N)))
+        assert snap["min"] == 0.0
+        assert snap["max"] == float(self.N - 1)
+        # Percentiles describe the most recent window.
+        assert snap["p50"] == pytest.approx(self.N - HISTOGRAM_WINDOW / 2 - 0.5)
+
+    def test_percentiles_under_the_window_are_unchanged(self):
+        values = [((i * 7919) % 1000) / 10.0 for i in range(HISTOGRAM_WINDOW)]
+        h = Histogram("t")
+        for v in values:
+            h.observe(v)
+        ordered = sorted(values)
+        for p in (0, 12.5, 50, 90, 99, 100):
+            rank = p / 100 * (len(ordered) - 1)
+            lo = int(rank)
+            hi = min(lo + 1, len(ordered) - 1)
+            expected = ordered[lo] * (1 - (rank - lo)) + ordered[hi] * (rank - lo)
+            assert h.percentile(p) == pytest.approx(expected)
+        assert h.snapshot()["sum"] == sum(values)  # same additions, same order
+
+    def test_merge_adds_counts_exactly_past_the_window(self):
+        worker = MetricsRegistry()
+        for v in range(self.N):
+            worker.observe("lat", float(v))
+        parent = MetricsRegistry()
+        for v in (-1.0, 2.0, 3.0):
+            parent.observe("lat", v)
+        parent.merge(worker.dump())
+        merged = parent.histogram("lat")
+        assert merged.count == self.N + 3
+        assert merged.sum == float(sum(range(self.N))) + 4.0
+        assert merged.min == -1.0
+        assert merged.max == float(self.N - 1)
+        assert len(merged.values) == HISTOGRAM_WINDOW
+
+    def test_merge_under_the_window_matches_observing_in_place(self):
+        worker, parent, direct = (MetricsRegistry() for _ in range(3))
+        for v in (0.1, 0.2, 0.7):
+            parent.observe("lat", v)
+            direct.observe("lat", v)
+        for v in (0.3, 1e-9, 5.5):
+            worker.observe("lat", v)
+            direct.observe("lat", v)
+        parent.merge(worker.dump())
+        merged, expected = parent.snapshot(), direct.snapshot()
+        assert merged["histograms"]["lat"].pop("sum") == pytest.approx(
+            expected["histograms"]["lat"].pop("sum"))
+        assert merged == expected
 
 
 class TestRegistry:

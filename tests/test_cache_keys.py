@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.cache import SynthesisCache
+from repro.cache import SynthesisCache, content_key
 from repro.hdl.source import SourceFile
 from repro.lint.rules import LINT_VERSION
 
@@ -69,3 +69,13 @@ def test_lint_key_separates_names_order_texts_and_rules(tmp_path):
     # Rule order (and repeats) are canonicalized.
     assert cache.lint_key(SOURCES, list(reversed(RULES))) == base
     assert cache.lint_key(SOURCES, RULES + RULES[:1]) == base
+
+
+class TestContentKey:
+    def test_deterministic(self):
+        assert content_key("a", "b") == content_key("a", "b")
+
+    def test_parts_are_unambiguous(self):
+        # "ab" + "c" must not collide with "a" + "bc".
+        assert content_key("ab", "c") != content_key("a", "bc")
+        assert content_key("a") != content_key("a", "")

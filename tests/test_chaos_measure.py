@@ -7,7 +7,7 @@ with ``jobs=4`` while chaos faults hang, kill, and OOM specific component
 tasks.  Healthy components must come back *exactly* right; injured ones
 must come back as structured stage-``"exec"`` quarantine diagnostics --
 never a crash, never a wrong number.  An interrupted run must resume from
-its journal, re-dispatching only the unfinished components.
+the cache, re-dispatching only the unfinished components.
 """
 
 import os
@@ -16,8 +16,9 @@ import threading
 
 import pytest
 
+from repro.cache import SynthesisCache
 from repro.core.engine import Engine
-from repro.exec import RunInterrupted, RunJournal, SupervisionPolicy
+from repro.exec import RunInterrupted, SupervisionPolicy
 from repro.gen import generate_corpus, corpus_specs
 from repro.gen.oracle import ORACLE_METRICS
 from repro.obs import metrics as obs_metrics
@@ -82,12 +83,16 @@ class TestChaosCatalog:
         assert counters["parallel.tasks"] == 95.0
 
 
-class TestJournalResume:
+class TestCacheResume:
+    """The content-addressed cache is the resume log: every pristine
+    measurement is stored by the process that computed it, so a re-run on
+    the same cache dispatches only the components with no memo entry."""
+
     def test_interrupted_run_resumes_redispatching_only_unfinished(
         self, tmp_path
     ):
         modules, specs = _catalog()
-        journal_path = tmp_path / "measure.jsonl"
+        cache = SynthesisCache(tmp_path)
         # Slow every task a little so the batch is mid-flight at interrupt.
         policy = SupervisionPolicy(
             handle_signals=True,
@@ -97,43 +102,64 @@ class TestJournalResume:
         timer = threading.Timer(0.8, os.kill, (os.getpid(), signal.SIGINT))
         timer.start()
         try:
-            with pytest.raises(RunInterrupted):
+            with pytest.raises(RunInterrupted) as excinfo:
                 Engine(
-                    jobs=4, supervision=policy, journal=str(journal_path),
+                    cache=cache, jobs=4, supervision=policy,
                 ).measure_components(specs)
         finally:
             timer.cancel()
 
-        done = len(RunJournal(journal_path))
+        # A worker may store its result just before the drain kills it, so
+        # the cache can hold more than the supervisor counted as completed.
+        done = len(cache.measurement_entries())
         assert 0 < done < 100  # genuinely mid-flight
+        assert excinfo.value.completed <= done
 
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.using(registry):
-            batch = Engine(
-                jobs=4, journal=str(journal_path)
-            ).measure_components(specs)
+            batch = Engine(cache=cache, jobs=4).measure_components(specs)
         counters = registry.snapshot()["counters"]
-        assert counters["exec.journal_skips"] == float(done)
+        assert counters["cache.measure_hits"] == float(done)
         assert counters["exec.dispatched"] == float(100 - done)
         assert not batch.failures
         _assert_exact(batch, modules, [gm.name for gm in modules])
 
-    def test_journal_keys_are_content_addressed_across_runs(self, tmp_path):
+    def test_memo_keys_are_content_addressed_across_runs(self, tmp_path):
         modules, specs = _catalog()
-        journal_path = tmp_path / "measure.jsonl"
-        first = Engine(
-            jobs=4, journal=str(journal_path)
-        ).measure_components(specs[:60])
+        cache = SynthesisCache(tmp_path)
+        first = Engine(cache=cache, jobs=4).measure_components(specs[:60])
         assert not first.failures
-        assert len(RunJournal(journal_path)) == 60
+        assert len(cache.measurement_entries()) == 60
 
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.using(registry):
-            batch = Engine(
-                jobs=4, journal=str(journal_path)
-            ).measure_components(specs)
+            batch = Engine(cache=cache, jobs=4).measure_components(specs)
         counters = registry.snapshot()["counters"]
-        assert counters["exec.journal_skips"] == 60.0
+        assert counters["cache.measure_hits"] == 60.0
         assert counters["exec.dispatched"] == 40.0
         assert not batch.failures
         _assert_exact(batch, modules, [gm.name for gm in modules])
+
+    def test_quarantine_is_not_cached_and_retries_on_rerun(self, tmp_path):
+        modules, specs = _catalog()
+        specs, names = specs[:6], [gm.name for gm in modules[:6]]
+        cache = SynthesisCache(tmp_path)
+        policy = SupervisionPolicy(
+            poll_interval_s=0.05, backoff_base_s=0.01, backoff_cap_s=0.05,
+            chaos={names[2]: ("kill",)},
+        )
+        first = Engine(
+            cache=cache, jobs=2, supervision=policy,
+        ).measure_components(specs)
+        assert set(first.failures) == {names[2]}
+        assert len(cache.measurement_entries()) == 5
+
+        # Re-run with the fault gone: only the quarantined one is dispatched.
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.using(registry):
+            batch = Engine(cache=cache, jobs=2).measure_components(specs)
+        counters = registry.snapshot()["counters"]
+        assert counters["cache.measure_hits"] == 5.0
+        assert counters["exec.dispatched"] == 1.0
+        assert not batch.failures
+        _assert_exact(batch, modules, names)

@@ -5,7 +5,7 @@ arithmetic tasks whose correct answers are known, injects one failure mode
 through the policy's chaos plan (:mod:`repro.runtime.faultinject`), and
 asserts the supervision contract: healthy tasks finish with exact values,
 injured tasks are retried and then quarantined as structured diagnostics,
-and an interrupted run resumes from its journal.
+and an interrupted run drains and says where its finished work is.
 """
 
 import os
@@ -18,11 +18,9 @@ import pytest
 from repro.exec import (
     QUARANTINE_HINT,
     RunInterrupted,
-    RunJournal,
     SupervisionPolicy,
     Supervisor,
     TaskOutcome,
-    content_key,
 )
 from repro.obs import metrics as obs_metrics
 from repro.runtime.diagnostics import Severity
@@ -44,7 +42,7 @@ def slow_square_task(payload):
     return TaskOutcome(value=x * x)
 
 
-def _run(n, chaos=None, jobs=4, journal=None, keys=None, **knobs):
+def _run(n, chaos=None, jobs=4, **knobs):
     policy = SupervisionPolicy(chaos=chaos, **{**_FAST, **knobs})
     registry = obs_metrics.MetricsRegistry()
     with obs_metrics.using(registry):
@@ -52,8 +50,6 @@ def _run(n, chaos=None, jobs=4, journal=None, keys=None, **knobs):
             square_task,
             list(range(n)),
             labels=[f"t{i}" for i in range(n)],
-            keys=keys,
-            journal=journal,
         )
     return outcomes, registry.snapshot()["counters"]
 
@@ -184,42 +180,8 @@ class TestMemoryCeilings:
         assert "exec.quarantined" not in counters
 
 
-class TestJournalResume:
-    def _keys(self, n):
-        return [content_key("chaos-sq", str(i)) for i in range(n)]
-
-    def test_completed_run_resumes_without_dispatch(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
-        first, _ = _run(8, journal=journal, keys=self._keys(8))
-        _assert_healthy(first, range(8))
-        assert len(journal) == 8
-
-        resumed, counters = _run(
-            8, journal=RunJournal(journal.path), keys=self._keys(8)
-        )
-        _assert_healthy(resumed, range(8))
-        assert counters["exec.journal_skips"] == 8.0
-        assert "exec.dispatched" not in counters  # nothing re-ran
-
-    def test_quarantines_are_not_journaled_and_retry_on_resume(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
-        first, _ = _run(
-            6, chaos={"t2": ("kill",)}, journal=journal, keys=self._keys(6)
-        )
-        _assert_quarantined(first[2], "t2")
-        assert len(journal) == 5  # the quarantine was not persisted
-
-        # Re-run with the fault gone: only t2 is dispatched, and it heals.
-        resumed, counters = _run(
-            6, journal=RunJournal(journal.path), keys=self._keys(6)
-        )
-        _assert_healthy(resumed, range(6))
-        assert counters["exec.journal_skips"] == 5.0
-        assert counters["exec.dispatched"] == 1.0
-
-    def test_interrupt_flushes_journal_and_resume_completes(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
-        keys = [content_key("chaos-slow", str(i)) for i in range(8)]
+class TestInterrupt:
+    def test_interrupt_drains_names_the_cache_and_restores_sigint(self):
         policy = SupervisionPolicy(handle_signals=True, **_FAST)
         timer = threading.Timer(
             0.4, os.kill, (os.getpid(), signal.SIGINT)
@@ -228,27 +190,14 @@ class TestJournalResume:
         try:
             with pytest.raises(RunInterrupted) as excinfo:
                 Supervisor(2, policy).run(
-                    slow_square_task,
-                    [(0.3, i) for i in range(8)],
-                    keys=keys,
-                    journal=journal,
+                    slow_square_task, [(0.3, i) for i in range(8)],
                 )
         finally:
             timer.cancel()
         assert excinfo.value.completed < 8
-        assert "--journal" in str(excinfo.value)
+        assert "--cache-dir" in str(excinfo.value)
         # The default SIGINT disposition is restored after the run.
         assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
-
-        done_before = len(RunJournal(journal.path))
-        assert done_before == excinfo.value.completed
-        resumed, counters = _run(
-            8, journal=RunJournal(journal.path), keys=keys
-        )
-        # _run uses square_task; journaled slow-square outcomes are value
-        # payload-keyed, so only the unfinished indices were dispatched.
-        assert counters["exec.journal_skips"] == float(done_before)
-        assert counters["exec.dispatched"] == float(8 - done_before)
 
 
 class TestInlineFallback:

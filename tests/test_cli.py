@@ -147,6 +147,23 @@ class TestExitCodes:
         assert main(["fit", "--metrics", "Stmts"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_removed_journal_option_exits_2_naming_the_cache(
+        self, capsys, good_file, tmp_path
+    ):
+        code = main(["measure", good_file, "--top", "good",
+                     "--journal", str(tmp_path / "run.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--cache-dir" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_journal_option_is_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["measure", "--help"])
+        assert "--journal" not in capsys.readouterr().out
+
 
 class TestReport:
     def test_report_to_stdout(self, capsys):
