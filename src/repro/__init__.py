@@ -45,13 +45,27 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_EXPORTS[name]), name)
-    globals()[name] = value
-    return value
+def lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's ``namespace``.
+
+    ``exports`` maps each public name to its defining module, imported on
+    the first access to the name; the value is then cached in
+    ``namespace``.  The package keeps its ``__all__``.
+    """
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(exports[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(namespace["__all__"]))
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,10 +12,10 @@ Keys are content-addressed, so the cache never needs invalidation logic:
 ``key = SHA-256( source texts  +  specialization module name  +
                  sorted parameter binding  +  library/version salt )``
 
-The salt folds in the frontend, elaboration, and lowering algorithm
-revisions (``PARSER_VERSION``/``ELAB_VERSION``/``SYNTH_VERSION``), so
-upgrading any pipeline stage silently starts a fresh key space instead of
-serving stale products.  Editing a source file or changing a parameter
+The salt folds in the frontend, elaboration, lowering and dataflow
+revisions (:mod:`repro.versions`, a leaf module: computing a key loads no
+stage), so upgrading any pipeline stage silently starts a fresh key space
+instead of serving stale products.  Editing a source file or changing a parameter
 binding changes the key the same way.
 
 The same store also holds two whole-result memos one level up: finished
@@ -47,17 +47,22 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from repro.elab.elaborator import ELAB_VERSION
-from repro.flow.dfg import FLOW_VERSION
-from repro.hdl.source import SourceFile
-from repro.hdl.verilog.parser import PARSER_VERSION as VERILOG_PARSER_VERSION
-from repro.hdl.vhdl.parser import PARSER_VERSION as VHDL_PARSER_VERSION
 from repro.obs import metrics as obs_metrics
 from repro.runtime.diagnostics import Result
-from repro.synth.lower import SYNTH_VERSION
-from repro.synth.report import SynthesisReport
+from repro.versions import (
+    ELAB_VERSION,
+    FLOW_VERSION,
+    LINT_VERSION,
+    SYNTH_VERSION,
+    VERILOG_PARSER_VERSION,
+    VHDL_PARSER_VERSION,
+)
+
+if TYPE_CHECKING:
+    from repro.hdl.source import SourceFile
+    from repro.synth.report import SynthesisReport
 
 #: Cache container format revision (bump when the entry encoding changes).
 CACHE_FORMAT = 1
@@ -102,6 +107,8 @@ _MISS = CacheLookup("miss")
 
 
 def _is_report(value: Any) -> bool:
+    from repro.synth.report import SynthesisReport
+
     return isinstance(value, SynthesisReport)
 
 
@@ -295,8 +302,6 @@ class SynthesisCache:
         self, sources: Iterable[SourceFile], enabled_rules: Iterable[str],
     ) -> str:
         """Content key of one lint run's per-module results."""
-        from repro.lint.rules import LINT_VERSION
-
         return content_key(
             self.salt,
             f"lint{LINT_VERSION}",

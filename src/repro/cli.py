@@ -405,7 +405,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _explain_rule(code: str) -> int:
     """Print one rule's catalog entry; unknown codes exit 2."""
-    from repro.lint.rules import RULES
+    from repro.lint.catalog import RULES
 
     rule = RULES.get(code.strip().upper())
     if rule is None:
@@ -595,9 +595,13 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro import exec as rexec
+    from repro.runtime.stages import load_pipeline
     from repro.serve import ServeConfig, ServeSession, serve_forever
 
     engine = _engine_from_args(args, handle_signals=False)
+    # Every request's pool forks from this process: load the pipeline once
+    # here, before listening, so no request's workers import it.
+    load_pipeline()
     # A previous forced shutdown in this process may have left the
     # cross-thread interrupt latched; a fresh daemon starts clean.
     rexec.clear_interrupt()

@@ -39,11 +39,6 @@ from repro.core.workflow import (
     ComponentSpec,
     SpecKey,
 )
-from repro.elab.degeneracy import minimal_parameters
-from repro.elab.elaborator import elaborate
-from repro.hdl import ast, parse_source
-from repro.hdl.metrics import software_metrics
-from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import (
@@ -53,16 +48,17 @@ from repro.runtime.diagnostics import (
     render_report,
 )
 from repro.runtime.stages import STAGE_HINTS, StageBoundary
-from repro.synth.lower import synthesize_module
-from repro.synth.report import SynthesisReport, synthesis_metrics
 
 if TYPE_CHECKING:
     from repro.cache import SynthesisCache
     from repro.core.estimator import DesignEffortEstimator
     from repro.data.dataset import EffortDataset
     from repro.exec import SupervisionPolicy, WorkerContext
+    from repro.hdl import ast
+    from repro.hdl.source import SourceFile
     from repro.lint.engine import LintReport
-    from repro.lint.rules import LintConfig
+    from repro.lint.config import LintConfig
+    from repro.synth.report import SynthesisReport
 
 
 def _probe_cache(
@@ -159,6 +155,9 @@ def synthesize_specialization(
     stored in ``cache`` under ``key`` as soon as it exists, so a run
     killed later still leaves it for the next run to hit.
     """
+    from repro.elab.elaborator import elaborate
+    from repro.synth.lower import synthesize_module
+    from repro.synth.report import synthesis_metrics
 
     def _synth():
         sub = elaborate(design, module, params)
@@ -277,6 +276,13 @@ class Engine:
         strict: bool,
         lint: bool = False,
     ) -> Result[ComponentMeasurement]:
+        # The pipeline loads here, on the first measurement, not with the
+        # engine; read at call time, so a patched stage is the one called.
+        from repro.elab.degeneracy import minimal_parameters
+        from repro.elab.elaborator import elaborate
+        from repro.hdl import ast, parse_source
+        from repro.hdl.metrics import software_metrics
+
         boundary = StageBoundary(component=label, strict=strict)
 
         parsed_sources: list[SourceFile] = []

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.accounting import AccountingPolicy
 from repro.hdl.source import SourceFile
 from repro.runtime.diagnostics import Diagnostic, Result, render_report
-from repro.synth.report import SynthesisReport
+
+if TYPE_CHECKING:
+    from repro.synth.report import SynthesisReport
 
 #: A specialization's dict key: (module name, sorted parameter items).
 SpecKey = tuple

@@ -9,38 +9,28 @@ degeneracy analysis behind the paper's parameter-scaling rule runs
 (:mod:`repro.elab.degeneracy`).
 """
 
-from repro.elab.consteval import ConstEvalError, eval_const, substitute
-from repro.elab.degeneracy import (
-    BlockedMinimization,
-    DegeneracyEvent,
-    MinimalParameters,
-    degeneracy_events,
-    is_degenerate,
-    minimal_parameters,
-)
-from repro.elab.elaborator import (
-    DesignHierarchy,
-    ElaboratedInstance,
-    ElaboratedModule,
-    ElaborationError,
-    SignalInfo,
-    elaborate,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BlockedMinimization",
-    "ConstEvalError",
-    "DegeneracyEvent",
-    "MinimalParameters",
-    "DesignHierarchy",
-    "ElaboratedInstance",
-    "ElaboratedModule",
-    "ElaborationError",
-    "SignalInfo",
-    "degeneracy_events",
-    "elaborate",
-    "eval_const",
-    "is_degenerate",
-    "minimal_parameters",
-    "substitute",
-]
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562): a lint memo hit or a cache key loads no elaborator.
+_EXPORTS = {
+    "BlockedMinimization": "repro.elab.degeneracy",
+    "ConstEvalError": "repro.elab.consteval",
+    "DegeneracyEvent": "repro.elab.degeneracy",
+    "DesignHierarchy": "repro.elab.elaborator",
+    "ElaboratedInstance": "repro.elab.elaborator",
+    "ElaboratedModule": "repro.elab.elaborator",
+    "ElaborationError": "repro.elab.elaborator",
+    "MinimalParameters": "repro.elab.degeneracy",
+    "SignalInfo": "repro.elab.elaborator",
+    "degeneracy_events": "repro.elab.degeneracy",
+    "elaborate": "repro.elab.elaborator",
+    "eval_const": "repro.elab.consteval",
+    "is_degenerate": "repro.elab.degeneracy",
+    "minimal_parameters": "repro.elab.degeneracy",
+    "substitute": "repro.elab.consteval",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

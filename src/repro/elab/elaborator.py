@@ -14,14 +14,10 @@ from typing import Callable, Mapping
 from repro.elab.consteval import ConstEvalError, eval_const, substitute
 from repro.hdl import ast
 from repro.hdl.source import HdlError
+from repro.versions import ELAB_VERSION  # noqa: F401 -- re-exported
 
 #: Safety bound on generate/procedural loop unrolling.
 MAX_UNROLL = 65536
-
-#: Elaboration algorithm revision.  Part of the on-disk cache salt
-#: (:mod:`repro.cache`): bump whenever elaboration semantics change in a
-#: way that affects downstream synthesis products.
-ELAB_VERSION = 1
 
 
 class ElaborationError(HdlError):

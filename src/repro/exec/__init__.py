@@ -14,56 +14,39 @@ process that computes it, so the cache is the only record of finished
 work and an interrupted run resumes by hitting it.
 
 Layering: this package depends only on :mod:`repro.obs` and
-:mod:`repro.runtime.diagnostics`; the measurement and lint steps live
+:mod:`repro.runtime`; the measurement and lint steps live
 with the code they serve (:mod:`repro.core.engine`,
 :mod:`repro.lint.engine`) and travel to workers by reference.  See
 DESIGN.md section 11 for the supervision model.
 """
 
-from repro.exec.policy import SupervisionPolicy
-from repro.exec.pool import run_pool
-from repro.exec.supervisor import (
-    AUTO_CHUNK_CAP,
-    QUARANTINE_HINT,
-    RunInterrupted,
-    Supervisor,
-    clear_interrupt,
-    interrupt_requested,
-    request_interrupt,
-)
-from repro.exec.task import (
-    TaskOutcome,
-    WorkerContext,
-    WorkerTelemetry,
-    run_traced_task,
-)
-from repro.exec.workers import (
-    WorkerHandle,
-    apply_memory_limit,
-    require_worker_context,
-    using_context,
-    worker_context,
-    worker_main,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AUTO_CHUNK_CAP",
-    "QUARANTINE_HINT",
-    "RunInterrupted",
-    "Supervisor",
-    "SupervisionPolicy",
-    "TaskOutcome",
-    "WorkerContext",
-    "WorkerHandle",
-    "WorkerTelemetry",
-    "apply_memory_limit",
-    "clear_interrupt",
-    "interrupt_requested",
-    "request_interrupt",
-    "require_worker_context",
-    "run_pool",
-    "run_traced_task",
-    "using_context",
-    "worker_context",
-    "worker_main",
-]
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562): a ``--jobs 1`` run loads neither the pool nor
+#: ``multiprocessing``.
+_EXPORTS = {
+    "AUTO_CHUNK_CAP": "repro.exec.supervisor",
+    "QUARANTINE_HINT": "repro.exec.supervisor",
+    "RunInterrupted": "repro.exec.policy",
+    "SupervisionPolicy": "repro.exec.policy",
+    "Supervisor": "repro.exec.supervisor",
+    "TaskOutcome": "repro.exec.task",
+    "WorkerContext": "repro.exec.task",
+    "WorkerHandle": "repro.exec.workers",
+    "WorkerTelemetry": "repro.exec.task",
+    "apply_memory_limit": "repro.exec.workers",
+    "clear_interrupt": "repro.exec.supervisor",
+    "interrupt_requested": "repro.exec.supervisor",
+    "request_interrupt": "repro.exec.supervisor",
+    "require_worker_context": "repro.exec.workers",
+    "run_pool": "repro.exec.pool",
+    "run_traced_task": "repro.exec.task",
+    "using_context": "repro.exec.workers",
+    "worker_context": "repro.exec.workers",
+    "worker_main": "repro.exec.workers",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

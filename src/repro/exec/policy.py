@@ -21,8 +21,8 @@ without chasing keyword arguments through the stack:
   worst, a worker death the supervisor absorbs -- never pool collapse.
 * **Signals** -- ``handle_signals`` opts the run into SIGINT/SIGTERM
   handling: the pool drains (finished work is already in the cache) and
-  the run raises :class:`~repro.exec.supervisor.RunInterrupted` for the CLI to
-  map onto its documented exit code.
+  the run raises :class:`RunInterrupted` for the CLI to map onto its
+  documented exit code.
 * **Chaos** -- ``chaos`` maps task labels to fault injectors from
   :mod:`repro.runtime.faultinject` (``hang_worker``/``kill_worker``/
   ``slow_task``/``oom_task``); production callers leave it ``None``.
@@ -34,6 +34,7 @@ without chasing keyword arguments through the stack:
 from __future__ import annotations
 
 import random
+import signal
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -126,3 +127,25 @@ class SupervisionPolicy:
         if self.max_respawns is not None:
             return self.max_respawns
         return 4 + 2 * max(1, jobs)
+
+
+class RunInterrupted(RuntimeError):
+    """A supervised run was stopped by SIGINT/SIGTERM.
+
+    ``completed``/``total`` report how far the run got so the CLI can say
+    so before exiting.
+    """
+
+    def __init__(self, signum: int, completed: int, total: int) -> None:
+        self.signum = signum
+        self.completed = completed
+        self.total = total
+        try:
+            name = signal.Signals(signum).name
+        except ValueError:
+            name = f"signal {signum}"
+        super().__init__(
+            f"run interrupted by {name}: {completed}/{total} tasks finished "
+            "(completed results are in the cache; re-run with the same "
+            "--cache-dir to resume)"
+        )

@@ -24,6 +24,10 @@ keeps the sequential contracts bit for bit:
   worker's metrics and grafts its span tree under namespaced ids
   (``"b3.w7:12"``) below the task's ``exec.task`` attempt span, and
   rewrites diagnostic span ids to match.
+* **Imports before the fork.**  The pipeline loads lazily, so a parent
+  may not have imported it yet; :func:`run_pool` loads it first
+  (:func:`~repro.runtime.stages.load_pipeline`) and ``fork`` workers
+  inherit it instead of importing it again on every batch.
 
 Nothing here is imported by a ``jobs=1`` run.
 """
@@ -36,6 +40,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Result
+from repro.runtime.stages import load_pipeline
 
 from repro.exec.policy import SupervisionPolicy
 from repro.exec.supervisor import Supervisor
@@ -73,6 +78,7 @@ def run_pool(
     ``"exec"`` diagnostic; a ferried strict-mode exception is in
     ``error``.
     """
+    load_pipeline()  # before the fork, so no worker imports the stages
     run_ns = f"{kind}{next(_NAMESPACE_COUNTER)}"
     context = WorkerContext(values={
         **inputs,

@@ -68,7 +68,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Severity
 
-from repro.exec.policy import SupervisionPolicy
+from repro.exec.policy import RunInterrupted, SupervisionPolicy
 from repro.exec.task import TaskOutcome, WorkerContext
 from repro.exec.workers import WorkerHandle, using_context
 
@@ -108,28 +108,6 @@ def clear_interrupt() -> None:
 def interrupt_requested() -> bool:
     """Whether a cross-thread interrupt is pending."""
     return _EXTERNAL_INTERRUPT.is_set()
-
-
-class RunInterrupted(RuntimeError):
-    """A supervised run was stopped by SIGINT/SIGTERM.
-
-    ``completed``/``total`` report how far the run got so the CLI can say
-    so before exiting.
-    """
-
-    def __init__(self, signum: int, completed: int, total: int) -> None:
-        self.signum = signum
-        self.completed = completed
-        self.total = total
-        try:
-            name = signal.Signals(signum).name
-        except ValueError:
-            name = f"signal {signum}"
-        super().__init__(
-            f"run interrupted by {name}: {completed}/{total} tasks finished "
-            "(completed results are in the cache; re-run with the same "
-            "--cache-dir to resume)"
-        )
 
 
 @dataclass

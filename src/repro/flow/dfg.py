@@ -42,9 +42,7 @@ from repro.hdl.walk import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-
-#: Dataflow-graph algorithm revision (folded into cache keys).
-FLOW_VERSION = 2
+from repro.versions import FLOW_VERSION  # noqa: F401 -- re-exported
 
 #: Prefix distinguishing instance pseudo-nodes from signal nodes.
 INSTANCE_PREFIX = "inst:"

@@ -12,8 +12,7 @@ elaborator and synthesis pipeline downstream are language-agnostic.
 
 from dataclasses import fields, is_dataclass
 
-from repro.hdl.ast import Design, Module
-from repro.hdl.metrics import count_loc, count_statements, software_metrics
+from repro import lazy_exports
 from repro.hdl.source import (
     VERILOG,
     VHDL,
@@ -21,25 +20,31 @@ from repro.hdl.source import (
     SourceFile,
     detect_language,
 )
-from repro.hdl.verilog import parse_verilog
-from repro.hdl.vhdl import parse_vhdl
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = [
-    "Design",
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562): reading a source file or a cache key loads no parser.
+_EXPORTS = {
+    "Design": "repro.hdl.ast",
+    "Module": "repro.hdl.ast",
+    "count_loc": "repro.hdl.metrics",
+    "count_statements": "repro.hdl.metrics",
+    "parse_verilog": "repro.hdl.verilog",
+    "parse_vhdl": "repro.hdl.vhdl",
+    "software_metrics": "repro.hdl.metrics",
+}
+
+__all__ = sorted([
+    *_EXPORTS,
     "HdlSyntaxError",
-    "Module",
     "SourceFile",
     "VERILOG",
     "VHDL",
-    "count_loc",
-    "count_statements",
     "detect_language",
-    "parse_verilog",
-    "parse_vhdl",
-    "software_metrics",
-]
+])
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 def _count_ast_nodes(node: object) -> int:
@@ -66,8 +71,12 @@ def parse_source(source: "SourceFile") -> "Design":
     language = detect_language(source)
     with obs_trace.span("parse.file", file=source.name) as sp:
         if language == VHDL:
+            from repro.hdl.vhdl import parse_vhdl
+
             design = parse_vhdl(source)
         elif language == VERILOG:
+            from repro.hdl.verilog import parse_verilog
+
             design = parse_verilog(source)
         else:
             raise ValueError(

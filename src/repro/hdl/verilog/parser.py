@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.hdl import ast
 from repro.hdl.source import HdlSyntaxError, SourceFile
 from repro.hdl.verilog.lexer import EOF, ID, NUMBER, OP, SIZED_NUMBER, Token, tokenize
+from repro.versions import VERILOG_PARSER_VERSION as PARSER_VERSION  # noqa: F401
 
 _KEYWORDS = {
     "module", "endmodule", "input", "output", "inout", "wire", "reg",
@@ -28,10 +29,6 @@ _PRECEDENCE: tuple[tuple[str, ...], ...] = (
     ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
 )
 _BINARY_LEVELS = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
-
-#: Frontend revision.  Part of the on-disk cache salt (:mod:`repro.cache`):
-#: bump whenever parsing changes the AST produced for accepted sources.
-PARSER_VERSION = 1
 
 
 class _Parser:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from repro.hdl import ast
 from repro.hdl.source import HdlSyntaxError, SourceFile
 from repro.hdl.vhdl.lexer import BITSTRING, CHAR, EOF, ID, NUMBER, OP, Token, tokenize
+from repro.versions import VHDL_PARSER_VERSION as PARSER_VERSION  # noqa: F401
 
 #: Function names stripped as bit-level identities.
 _TRANSPARENT_FUNCTIONS = {
@@ -41,10 +42,6 @@ _TRANSPARENT_FUNCTIONS = {
 }
 #: Functions whose second argument is a target width.
 _RESIZE_FUNCTIONS = {"to_unsigned", "to_signed", "resize", "conv_std_logic_vector"}
-
-#: Frontend revision.  Part of the on-disk cache salt (:mod:`repro.cache`):
-#: bump whenever parsing changes the AST produced for accepted sources.
-PARSER_VERSION = 1
 
 _VHDL_BINARY_TO_AST = {
     "and": "&", "or": "|", "xor": "^", "nand": "~&", "nor": "~|",

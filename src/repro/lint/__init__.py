@@ -22,51 +22,33 @@ Configuration -- rule toggles, severities, baseline suppressions -- comes
 from ``.ucomplexity-lint.toml`` (:mod:`repro.lint.config`).
 """
 
-from repro.lint.config import (
-    CONFIG_FILENAME,
-    LintConfig,
-    LintConfigError,
-    Suppression,
-    discover_config,
-    load_config,
-    write_baseline,
-)
-from repro.lint.engine import (
-    LintReport,
-    ModuleLintResult,
-    lint_design,
-    lint_module,
-    lint_sources,
-)
-from repro.lint.hashing import design_hashes, structural_hash
-from repro.lint.rules import (
-    ACC_RULES,
-    HYGIENE_RULES,
-    RULES,
-    LintFinding,
-    LintRule,
-    ModuleContext,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ACC_RULES",
-    "CONFIG_FILENAME",
-    "HYGIENE_RULES",
-    "LintConfig",
-    "LintConfigError",
-    "LintFinding",
-    "LintReport",
-    "LintRule",
-    "ModuleContext",
-    "ModuleLintResult",
-    "RULES",
-    "Suppression",
-    "design_hashes",
-    "discover_config",
-    "lint_design",
-    "lint_module",
-    "lint_sources",
-    "load_config",
-    "structural_hash",
-    "write_baseline",
-]
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562): a memo hit loads neither the elaborator nor the dataflow graph.
+_EXPORTS = {
+    "ACC_RULES": "repro.lint.catalog",
+    "CONFIG_FILENAME": "repro.lint.config",
+    "HYGIENE_RULES": "repro.lint.catalog",
+    "LintConfig": "repro.lint.config",
+    "LintConfigError": "repro.lint.config",
+    "LintFinding": "repro.lint.catalog",
+    "LintReport": "repro.lint.engine",
+    "LintRule": "repro.lint.catalog",
+    "ModuleContext": "repro.lint.rules",
+    "ModuleLintResult": "repro.lint.engine",
+    "RULES": "repro.lint.catalog",
+    "Suppression": "repro.lint.config",
+    "design_hashes": "repro.lint.hashing",
+    "discover_config": "repro.lint.config",
+    "lint_design": "repro.lint.engine",
+    "lint_module": "repro.lint.engine",
+    "lint_sources": "repro.lint.engine",
+    "load_config": "repro.lint.config",
+    "structural_hash": "repro.lint.hashing",
+    "write_baseline": "repro.lint.config",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

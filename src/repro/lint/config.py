@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.runtime.diagnostics import Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.lint.rules import LintFinding
+    from repro.lint.catalog import LintFinding
 
 #: The discovered configuration file name.
 CONFIG_FILENAME = ".ucomplexity-lint.toml"
@@ -93,7 +93,7 @@ class LintConfig:
         disable: Iterable[str] = (),
     ) -> "LintConfig":
         """A copy restricted to ``only`` (if given) minus ``disable``."""
-        from repro.lint.rules import RULES
+        from repro.lint.catalog import RULES
 
         disabled = set(self.disabled)
         if only is not None:
@@ -119,7 +119,7 @@ def _parse_severity(code: str, raw: object) -> Severity:
 
 def load_config(path: str | Path) -> LintConfig:
     """Parse a ``.ucomplexity-lint.toml`` file."""
-    from repro.lint.rules import RULES
+    from repro.lint.catalog import RULES
 
     path = Path(path)
     try:

@@ -15,6 +15,10 @@ Layering (bottom up):
   parse + merge source files (parse failures become ERROR diagnostics,
   not exceptions) and lint every module as :func:`lint_design` does.
 
+A memo hit needs only the rule catalog (:mod:`repro.lint.catalog`); the
+parsers, the elaborator, the dataflow graph and the rule checks load in
+:func:`lint_module` and on the miss path of :func:`lint_sources`.
+
 The returned :class:`LintReport` carries the exit-code contract the CLI
 honors: 0 clean, 1 findings, 2 errors (the linter itself could not audit
 something -- parse failure, duplicate definitions, elaboration failure).
@@ -25,19 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.flow.dfg import DataflowGraph, build_dfg
-from repro.hdl import ast, parse_source
 from repro.hdl.source import HdlError, SourceFile
-from repro.lint.config import LintConfig
-from repro.lint.hashing import structural_hash
-from repro.lint.rules import (
+from repro.lint.catalog import (
     DEEP_RULES,
     RULES,
     HashedModule,
     LintFinding,
-    ModuleContext,
     check_duplicates,
 )
+from repro.lint.config import LintConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
@@ -45,6 +45,8 @@ from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
 if TYPE_CHECKING:
     from repro.cache import SynthesisCache
     from repro.exec import SupervisionPolicy, WorkerContext
+    from repro.flow.dfg import DataflowGraph
+    from repro.hdl import ast
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,9 @@ def lint_module(
     a module the linter cannot elaborate cannot be certified compliant.
     """
     from repro.elab.elaborator import ElaboratedModule, elaborate
+    from repro.flow.dfg import build_dfg
+    from repro.lint.hashing import structural_hash
+    from repro.lint.rules import CHECKS, ModuleContext
 
     module = design.modules[module_name]
     errors: list[Diagnostic] = []
@@ -170,11 +175,11 @@ def lint_module(
             design=design, module=module, spec=spec, dfg=dfg
         )
         findings: list[LintFinding] = []
-        for code, rule in RULES.items():
-            if rule.check is None or not config.enabled(code) or code in skip:
+        for code, check in CHECKS.items():
+            if not config.enabled(code) or code in skip:
                 continue
             try:
-                findings.extend(rule.check(ctx))
+                findings.extend(check(ctx))
             except Exception as exc:  # noqa: BLE001 -- a broken rule is a
                 # lint bug, not a design bug; degrade to an error finding.
                 errors.append(
@@ -347,6 +352,8 @@ def lint_sources(
             run.set_attr("memo", "miss" if hit is None else "hit")
             if hit is not None:
                 return _assemble(hit, (), config, len(sources))
+        from repro.hdl import ast, parse_source
+
         design = ast.Design()
         errors: list[Diagnostic] = []
         for source in sources:

@@ -21,16 +21,7 @@ measure -> fit -> report pipeline (see DESIGN.md, "Observability"):
   ``ucomplexity bench-diff`` regression gate.
 """
 
-from repro.obs.attrib import (
-    Rollup,
-    critical_path,
-    flamegraph_lines,
-    rollup,
-    serialization_summary,
-    write_flamegraph,
-)
-from repro.obs.benchdiff import DiffConfig, diff_history, load_config
-from repro.obs.fittrace import FitIteration, FitTrace, maybe_fit_trace
+from repro import lazy_exports
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -40,15 +31,6 @@ from repro.obs.metrics import (
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.metrics import reset as reset_metrics
 from repro.obs.metrics import snapshot as metrics_snapshot
-from repro.obs.report import RunReport, render_timings_rows
-from repro.obs.timeline import (
-    Breakdown,
-    breakdown,
-    chrome_trace,
-    gantt_lines,
-    lanes,
-    write_chrome_trace,
-)
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
@@ -64,44 +46,53 @@ from repro.obs.trace import (
     using,
 )
 
-__all__ = [
-    "Breakdown",
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562).  ``metrics`` and ``trace`` above are what every stage uses;
+#: the analysis modules (and ``fittrace``'s numpy) load only when asked.
+_EXPORTS = {
+    "Breakdown": "repro.obs.timeline",
+    "DiffConfig": "repro.obs.benchdiff",
+    "FitIteration": "repro.obs.fittrace",
+    "FitTrace": "repro.obs.fittrace",
+    "Rollup": "repro.obs.attrib",
+    "RunReport": "repro.obs.report",
+    "breakdown": "repro.obs.timeline",
+    "chrome_trace": "repro.obs.timeline",
+    "critical_path": "repro.obs.attrib",
+    "diff_history": "repro.obs.benchdiff",
+    "flamegraph_lines": "repro.obs.attrib",
+    "gantt_lines": "repro.obs.timeline",
+    "lanes": "repro.obs.timeline",
+    "load_config": "repro.obs.benchdiff",
+    "maybe_fit_trace": "repro.obs.fittrace",
+    "render_timings_rows": "repro.obs.report",
+    "rollup": "repro.obs.attrib",
+    "serialization_summary": "repro.obs.attrib",
+    "write_chrome_trace": "repro.obs.timeline",
+    "write_flamegraph": "repro.obs.attrib",
+}
+
+__all__ = sorted([
+    *_EXPORTS,
     "Counter",
-    "DiffConfig",
-    "FitIteration",
-    "FitTrace",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
-    "Rollup",
-    "RunReport",
     "Span",
     "Tracer",
     "activate",
     "active",
-    "breakdown",
-    "chrome_trace",
-    "critical_path",
     "current_span_id",
     "deactivate",
-    "diff_history",
     "event",
-    "flamegraph_lines",
-    "gantt_lines",
-    "lanes",
-    "load_config",
-    "maybe_fit_trace",
     "metrics_registry",
     "metrics_snapshot",
     "read_jsonl",
-    "render_timings_rows",
     "reset_metrics",
-    "rollup",
-    "serialization_summary",
     "span",
     "traced",
     "using",
-    "write_chrome_trace",
-    "write_flamegraph",
-]
+])
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,17 +11,20 @@ of bare verdicts.
 A trace plugs into ``scipy.optimize.minimize`` through the standard
 ``callback`` hook (:meth:`FitTrace.watch` builds one per optimizer start),
 and mirrors every row into the active tracer as a ``fit_iter`` event so
-``--trace`` files carry the full trajectory.
+``--trace`` files carry the full trajectory.  numpy loads only when a
+start is watched, so an untraced fit (:func:`maybe_fit_trace` returns
+``None``) never imports it here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.obs import trace as obs_trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ class FitTrace:
         Works with solvers that call ``callback(xk)`` (L-BFGS-B,
         Nelder-Mead) and with those passing extra state positionally.
         """
+        import numpy as np
+
         state: dict = {"prev": None, "iteration": 0}
 
         def callback(xk: Sequence[float], *_args: object) -> None:

@@ -12,10 +12,15 @@ When a tracer (:mod:`repro.obs.trace`) is active, every step additionally
 runs under a ``stage.<name>`` span, and each diagnostic records the id of
 the span it was emitted under, so failure reports can be paired with the
 timing tree of the same run.
+
+The stage modules themselves load on first use (DESIGN.md section 7);
+:func:`load_pipeline` imports them all at once, for a process about to
+fork workers.
 """
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from typing import Callable, Iterator, TypeVar
 
@@ -46,6 +51,32 @@ STAGE_HINTS: dict[str, str] = {
     "fit": "the optimizer could not verify convergence; a declared "
            "fallback fitter produced the estimate",
 }
+
+
+#: The modules a measure or lint task runs, parse through lint rules.
+PIPELINE_MODULES = (
+    "repro.hdl.verilog",
+    "repro.hdl.vhdl",
+    "repro.hdl.metrics",
+    "repro.elab.degeneracy",
+    "repro.synth.lower",
+    "repro.synth.report",
+    "repro.flow.metrics",
+    "repro.lint.hashing",
+    "repro.lint.rules",
+)
+
+
+def load_pipeline() -> None:
+    """Import every pipeline stage now.
+
+    The pipeline loads lazily, on the first call that needs it.  A process
+    about to fork workers (:func:`repro.exec.pool.run_pool`, the serve
+    daemon at startup) calls this first, so each forked worker inherits
+    the stages instead of importing them again for every batch.
+    """
+    for name in PIPELINE_MODULES:
+        importlib.import_module(name)
 
 
 class StageBoundary:

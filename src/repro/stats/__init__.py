@@ -25,7 +25,7 @@ in Appendix A of the paper.  It provides:
   exact-ML -> Laplace/AGHQ -> fixed effects, with degradation recorded.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: Public name -> defining module, imported on first attribute access
 #: (PEP 562): only the fitters pull in scipy, and only when used.
@@ -62,14 +62,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_EXPORTS[name]), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,29 +17,28 @@ Replaces the commercial tools of Table 3:
 vector used by the uComplexity regression.
 """
 
-from repro.synth.cones import fanin_logic_cones
-from repro.synth.fpga import FpgaReport, map_to_luts
-from repro.synth.interp import InterpreterError, RtlInterpreter
-from repro.synth.library import CELL_LIBRARY, CellSpec
-from repro.synth.lower import SynthesisError, synthesize_module
-from repro.synth.netlist import Cell, Memory, Netlist
-from repro.synth.report import SynthesisReport, synthesis_metrics
-from repro.synth.sim import NetlistSimulator
+from repro import lazy_exports
 
-__all__ = [
-    "CELL_LIBRARY",
-    "Cell",
-    "CellSpec",
-    "FpgaReport",
-    "InterpreterError",
-    "Memory",
-    "Netlist",
-    "NetlistSimulator",
-    "RtlInterpreter",
-    "SynthesisError",
-    "SynthesisReport",
-    "fanin_logic_cones",
-    "map_to_luts",
-    "synthesis_metrics",
-    "synthesize_module",
-]
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562): a cache probe or an annotation loads no netlist code.
+_EXPORTS = {
+    "CELL_LIBRARY": "repro.synth.library",
+    "Cell": "repro.synth.netlist",
+    "CellSpec": "repro.synth.library",
+    "FpgaReport": "repro.synth.fpga",
+    "InterpreterError": "repro.synth.interp",
+    "Memory": "repro.synth.netlist",
+    "Netlist": "repro.synth.netlist",
+    "NetlistSimulator": "repro.synth.sim",
+    "RtlInterpreter": "repro.synth.interp",
+    "SynthesisError": "repro.synth.lower",
+    "SynthesisReport": "repro.synth.report",
+    "fanin_logic_cones": "repro.synth.cones",
+    "map_to_luts": "repro.synth.fpga",
+    "synthesis_metrics": "repro.synth.report",
+    "synthesize_module": "repro.synth.lower",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -33,13 +33,9 @@ from repro.elab.elaborator import (
 from repro.hdl import ast
 from repro.hdl.source import HdlError
 from repro.synth.netlist import CONST0, CONST1, Memory, Netlist, ReadPort, WritePort
+from repro.versions import SYNTH_VERSION  # noqa: F401 -- re-exported
 
 Bits = list[int]
-
-#: Lowering/library revision.  Part of the on-disk cache salt
-#: (:mod:`repro.cache`): bump whenever the cell library, decomposition, or
-#: optimization rules change the netlists this module produces.
-SYNTH_VERSION = 2
 
 
 class SynthesisError(HdlError):

@@ -4,9 +4,10 @@ The effort fits hand scipy's L-BFGS-B problems of a handful of
 parameters, where threaded OpenBLAS costs several times its
 single-thread time.  ``repro.cli`` therefore defaults
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
-1 before numpy loads, which works only because ``import repro`` does not
-load numpy.  Each check runs in a fresh interpreter so the environment
-and ``sys.modules`` are the child's own.
+1 before numpy loads, which works only because neither ``import repro``
+nor ``import repro.cli`` loads numpy: the variables are set by the time
+anything imports it.  Each check runs in a fresh interpreter so the
+environment and ``sys.modules`` are the child's own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import os, sys
 import repro
 assert "numpy" not in sys.modules
 import repro.cli
-assert "numpy" in sys.modules
+assert "numpy" not in sys.modules
+import numpy
 print(" ".join(os.environ[v] for v in sys.argv[1:]))
 """
 

@@ -47,7 +47,10 @@ print("loaded:", [m for m in ("networkx", "scipy") if m in sys.modules])
 
 _FIT = """
 import repro, repro.stats
-for pkg in (repro, repro.stats):
+import repro.elab, repro.exec, repro.flow, repro.hdl, repro.lint, repro.obs
+import repro.synth
+for pkg in (repro, repro.stats, repro.elab, repro.exec, repro.flow,
+            repro.hdl, repro.lint, repro.obs, repro.synth):
     assert set(pkg.__all__) <= set(dir(pkg)), pkg.__name__
 from repro import fit_dee1, paper_dataset
 print(f"{fit_dee1(paper_dataset()).sigma_eps:.2f}")
