@@ -6,6 +6,8 @@
   whole-component measurement memo),
 * the :class:`~repro.exec.SupervisionPolicy` governing the worker pool,
 * the pool width (``jobs``),
+* optionally, an open :class:`~repro.exec.Supervisor` whose workers
+  every pool run of the engine reuses (the serve daemon holds one),
 
 -- and exposes the pipeline entry points :meth:`measure_component` /
 :meth:`measure_component_safe` / :meth:`measure_components` /
@@ -53,7 +55,7 @@ if TYPE_CHECKING:
     from repro.cache import SynthesisCache
     from repro.core.estimator import DesignEffortEstimator
     from repro.data.dataset import EffortDataset
-    from repro.exec import SupervisionPolicy, WorkerContext
+    from repro.exec import SupervisionPolicy, Supervisor, WorkerContext
     from repro.hdl import ast
     from repro.hdl.source import SourceFile
     from repro.lint.engine import LintReport
@@ -196,6 +198,11 @@ class Engine:
         jobs: worker-pool width (1 = inline sequential execution).
         supervision: pool supervision policy (:mod:`repro.exec`);
             ``None`` uses the defaults.
+        supervisor: an open supervisor, held and closed by the caller,
+            that every pool run of this engine (batch measure,
+            specialization sweep, lint) runs on, so its workers stay warm
+            between runs.  ``None``: each pool run opens its own and joins
+            its workers before returning.
     """
 
     def __init__(
@@ -204,10 +211,12 @@ class Engine:
         cache: "SynthesisCache | None" = None,
         jobs: int = 1,
         supervision: "SupervisionPolicy | None" = None,
+        supervisor: "Supervisor | None" = None,
     ) -> None:
         self.cache = cache
         self.jobs = max(1, int(jobs))
         self.supervision = supervision
+        self.supervisor = supervisor
         self._estimators: dict[tuple, "DesignEffortEstimator"] = {}
 
     # -- measurement -----------------------------------------------------------
@@ -369,6 +378,7 @@ class Engine:
                  "keys": tuple(cache_keys.get(k) for k, _, _ in to_compute)},
                 [f"{label}:{m}" for m, _ in work],
                 kind="s", jobs=self.jobs, supervision=self.supervision,
+                supervisor=self.supervisor,
             )
             for (key, _m, _p), outcome in zip(to_compute, outcomes):
                 if outcome.error is not None:
@@ -550,6 +560,7 @@ class Engine:
                  "strict": strict, "lint": lint, "cache": self.cache},
                 [spec.name for spec in specs],
                 kind="b", jobs=self.jobs, supervision=self.supervision,
+                supervisor=self.supervisor,
             )
         for outcome in outcomes:
             if outcome.error is not None:
@@ -610,6 +621,7 @@ class Engine:
         return lint_sources(
             list(sources), config, jobs=self.jobs,
             supervision=self.supervision, cache=self.cache,
+            supervisor=self.supervisor,
         )
 
     # -- estimator fits --------------------------------------------------------

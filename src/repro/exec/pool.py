@@ -16,9 +16,13 @@ keeps the sequential contracts bit for bit:
   to the parent (``HdlError`` pickles faithfully).
 * **Supervision.**  Every run is a :class:`~repro.exec.Supervisor` run:
   deadlines, retry with backoff, poison-task quarantine, and memory
-  ceilings.  Persistence is the step's business: the pipeline's steps
-  store their products in the content-addressed cache as they finish,
-  which is what lets an interrupted run resume.
+  ceilings.  A caller that holds an open supervisor (the serve daemon,
+  through :class:`~repro.core.engine.Engine`) passes it in and its
+  workers stay warm between runs; otherwise the run opens a supervisor
+  and joins its workers before returning.  Persistence is the step's
+  business: the pipeline's steps store their products in the
+  content-addressed cache as they finish, which is what lets an
+  interrupted run resume.
 * **Telemetry.**  Each task runs under a fresh metrics registry and, when
   the parent is traced, its own tracer.  On join the parent merges the
   worker's metrics and grafts its span tree under namespaced ids
@@ -35,6 +39,7 @@ Nothing here is imported by a ``jobs=1`` run.
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.obs import metrics as obs_metrics
@@ -64,12 +69,17 @@ def run_pool(
     kind: str,
     jobs: int,
     supervision: SupervisionPolicy | None = None,
+    supervisor: Supervisor | None = None,
 ) -> list[TaskOutcome]:
     """Run ``step`` for every index of ``labels`` across a supervised pool.
 
     ``step`` must be a module-level function (it travels by reference in
     the context); ``inputs`` are the run's shared inputs, read back by
     the step.  ``kind`` prefixes the run's telemetry namespace.
+    ``supervisor`` is an open supervisor the caller holds (``jobs`` and
+    ``supervision`` are then its own); without one, the run opens a
+    supervisor from ``jobs`` and ``supervision`` and closes it, so no
+    worker outlives the call.
 
     Outcomes line up with ``labels``.  Worker telemetry is already merged,
     and span ids in the outcome's diagnostics -- and in a :class:`Result`
@@ -87,12 +97,16 @@ def run_pool(
         "capture_trace": obs_trace.active() is not None,
     })
     n = len(labels)
-    outcomes = Supervisor(jobs, supervision).run(
-        _run_step, list(range(n)),
-        labels=list(labels),
-        namespaces=[f"{run_ns}.w{i}" for i in range(n)],
-        context=context,
-    )
+    with (
+        nullcontext(supervisor) if supervisor is not None
+        else Supervisor(jobs, supervision)
+    ) as sup:
+        outcomes = sup.run(
+            _run_step, list(range(n)),
+            labels=list(labels),
+            namespaces=[f"{run_ns}.w{i}" for i in range(n)],
+            context=context,
+        )
     merged = []
     for outcome in outcomes:
         mapping = merge_worker_telemetry(outcome)

@@ -2,7 +2,11 @@
 
 :class:`Supervisor.run` executes one homogeneous batch of tasks over a
 pool of :mod:`repro.exec.workers` processes and owns every failure mode
-a bare process-pool executor cannot:
+a bare process-pool executor cannot.  Workers live as long as the
+supervisor, not one run: a run reuses the idle live workers the last run
+left, forks only what is missing up to ``min(jobs, tasks)``, and
+:meth:`Supervisor.close` (or leaving a ``with`` block) shuts the kept
+workers down and reaps them.
 
 * **Hung workers.**  Each attempt runs under the policy deadline; a
   worker still busy past it is killed and replaced, and the task is
@@ -13,7 +17,9 @@ a bare process-pool executor cannot:
 * **Escaped exceptions.**  Task functions promise not to raise; when
   something escapes anyway (``MemoryError`` under the worker memory
   ceiling, a chaos fault, a bug) the surviving worker reports it and the
-  task is charged one *soft failure* and retried.
+  task is charged one *soft failure* and retried.  A worker that reports
+  ``MemoryError`` is killed and replaced before the retry: its heap may
+  have grown, and a kept worker must not carry that into later work.
 * **Poison tasks.**  A task that exhausts ``max_task_kills`` kills or
   ``max_retries`` soft failures is quarantined: its outcome is a
   structured :class:`~repro.runtime.diagnostics.Diagnostic` (stage
@@ -31,6 +37,7 @@ a bare process-pool executor cannot:
 Telemetry flows through :mod:`repro.obs`: ``exec.dispatched``,
 ``exec.completed``, ``exec.retries``, ``exec.kills``,
 ``exec.deadline_kills``, ``exec.worker_deaths``, ``exec.respawns``,
+``exec.workers_reused`` (a run took a kept worker instead of forking),
 ``exec.quarantined``, ``exec.heartbeats``, the
 ``exec.workers`` gauge, and the ``exec.deadline_margin_s`` histogram
 (how close completed tasks came to their deadline).
@@ -62,6 +69,7 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
 from repro.obs import metrics as obs_metrics
@@ -123,6 +131,9 @@ class _TaskState:
     not_before: float = 0.0
     enqueued_at: float = 0.0
     last_detail: str = ""
+    #: The task took a worker down (killed it or exhausted its memory),
+    #: so it must never run inline in the parent.
+    unsafe_inline: bool = False
 
     @property
     def attempts(self) -> int:
@@ -138,13 +149,33 @@ QUARANTINE_HINT = (
 
 
 class Supervisor:
-    """Run batches of picklable tasks under deadlines and retries."""
+    """Run batches of picklable tasks under deadlines and retries.
+
+    Idle live workers are kept between runs; use the supervisor as a
+    context manager (or call :meth:`close`) to shut them down.  One
+    supervisor serves one thread at a time.
+    """
 
     def __init__(self, jobs: int, policy: SupervisionPolicy | None = None) -> None:
         self.jobs = max(1, int(jobs))
         self.policy = policy or SupervisionPolicy()
         self._rng = random.Random(self.policy.seed)
         self._signal: int | None = None
+        #: Idle live workers the last run left, reused by the next one.
+        self._kept: list[WorkerHandle] = []
+
+    def __enter__(self) -> "Supervisor":
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut down and reap every kept worker."""
+        kept, self._kept = self._kept, []
+        for w in kept:
+            w.shutdown()
+        obs_metrics.gauge("exec.workers").set(0)
 
     # -- public entry point --------------------------------------------------
 
@@ -165,9 +196,12 @@ class Supervisor:
         namespace as the ``ns`` attribute, which is what lets the timeline
         re-base grafted worker span trees onto the parent clock.
         ``context`` is the run-invariant :class:`WorkerContext` delivered
-        to each worker once at spawn (and installed around the parent's
-        own inline execution paths), instead of being pickled into every
-        task payload.
+        to each worker once per run -- inherited at spawn by a worker
+        forked for the run, sent in one message to a kept worker -- and
+        installed around the parent's own inline execution paths, instead
+        of being pickled into every task payload.  Each run starts with
+        the policy's seeded jitter and a fresh respawn budget, so its
+        schedule does not depend on earlier runs.
         """
         n = len(payloads)
         if labels is None:
@@ -182,6 +216,8 @@ class Supervisor:
             return []
 
         task, states = self._apply_chaos(task, states)
+        self._rng = random.Random(self.policy.seed)
+        self._signal = None
         obs_metrics.gauge("parallel.jobs").set(self.jobs)
         with obs_trace.span(
             "exec.supervised", tasks=len(states), jobs=self.jobs,
@@ -356,7 +392,7 @@ class Supervisor:
                 heapq.heappush(free_lanes, lane)
                 return None
             lane_gen[lane] = gen
-            w.lane = lane  # type: ignore[attr-defined]
+            w.lane = lane
             spawn_s = time.monotonic() - t0
             obs_metrics.histogram("exec.spawn_s").observe(spawn_s)
             if tracer is not None:
@@ -366,11 +402,24 @@ class Supervisor:
             obs_metrics.gauge("exec.workers").set(len(workers))
             return w
 
+        def reuse(w: WorkerHandle, message: bytes) -> None:
+            """Switch a kept worker to this run (drop it if it died idle)."""
+            try:
+                w.conn.send_bytes(message)
+            except (BrokenPipeError, OSError):
+                w.kill()
+                return
+            w.lane = next(lane_seq)
+            w.wid = f"w{w.lane}"
+            workers.append(w)
+            obs_metrics.counter("exec.workers_reused").inc()
+            obs_metrics.gauge("exec.workers").set(len(workers))
+
         def retire(w: WorkerHandle) -> None:
             w.kill()
             if w in workers:
                 workers.remove(w)
-                heapq.heappush(free_lanes, w.lane)  # type: ignore[attr-defined]
+                heapq.heappush(free_lanes, w.lane)
             obs_metrics.gauge("exec.workers").set(len(workers))
 
         def quarantine(state: _TaskState, reason: str) -> None:
@@ -432,14 +481,17 @@ class Supervisor:
             obs_metrics.histogram("exec.pickle_s").observe(w.pickle_s)
             obs_metrics.counter("exec.payload_bytes").inc(w.payload_bytes)
 
-        def worker_lost(w: WorkerHandle, reason: str) -> None:
-            """A worker died or was killed; charge its in-flight task (the
-            chunk head), requeue the chunk's unstarted remainder uncharged,
-            and replace the worker."""
+        def worker_lost(w: WorkerHandle, reason: str, kill: bool = True) -> None:
+            """A worker died, was killed, or ran out of memory (``kill``
+            False: the task is charged a soft failure); charge its
+            in-flight task (the chunk head), requeue the chunk's unstarted
+            remainder uncharged, and replace the worker."""
             nonlocal respawns_left
             state = by_index.get(w.task_idx) if w.task_idx is not None else None
             if state is not None and outcomes[state.index] is None:
-                record_task_span(w, state, "kill", error=reason)
+                record_task_span(w, state, "kill" if kill else "exc",
+                                 error=reason)
+                state.unsafe_inline = True
             mates = [by_index[i] for i in list(w.chunk)[1:] if i in by_index]
             retire(w)
             now = time.monotonic()
@@ -448,7 +500,7 @@ class Supervisor:
                     mate.enqueued_at = now
                     queued.append(mate)
             if state is not None:
-                task_failed(state, kill=True, reason=reason)
+                task_failed(state, kill=kill, reason=reason)
             if completed < total and respawns_left > 0:
                 if spawn() is not None:
                     respawns_left -= 1
@@ -473,7 +525,19 @@ class Supervisor:
             obs_metrics.counter("parallel.tasks").inc()
 
         # Initial pool: one worker per job, capped by the work available.
-        for _ in range(min(self.jobs, total)):
+        # Kept workers come first (the most recently used first); one
+        # pickle of the run message serves all of them, and if the run
+        # cannot be pickled they are shut down and the run forks workers
+        # that inherit it.  The rest are forked.
+        wanted = min(self.jobs, total)
+        if self._kept:
+            try:
+                message = bytes(ForkingPickler.dumps(("run", task, context)))
+            except Exception:  # noqa: BLE001 -- fork inherits it instead
+                self.close()
+            while self._kept and len(workers) < wanted:
+                reuse(self._kept.pop(), message)
+        while len(workers) < wanted:
             if spawn() is None:
                 break
 
@@ -496,7 +560,7 @@ class Supervisor:
                     for state in queued:
                         if outcomes[state.index] is not None:
                             continue
-                        if state.kills > 0:
+                        if state.unsafe_inline:
                             quarantine(
                                 state,
                                 state.last_detail
@@ -617,6 +681,11 @@ class Supervisor:
                                 pass  # reply for a task already re-routed
                             elif kind == "ok":
                                 complete(w, rest[0])
+                            elif rest[0] == "MemoryError":
+                                # Its heap may have grown: never reuse it.
+                                worker_lost(w, f"MemoryError: {rest[1]}",
+                                            kill=False)
+                                break
                             else:
                                 exc_type, exc_text = rest
                                 state = by_index[task_id]
@@ -653,12 +722,14 @@ class Supervisor:
                             f"deadline (ran {elapsed:.1f}s); worker killed",
                         )
         finally:
-            for w in list(workers):
+            # Idle workers are kept for the next run; a worker still busy
+            # (the run was interrupted or raised) is killed.
+            for w in workers:
                 if w.busy:
                     w.kill()
                 else:
-                    w.shutdown()
+                    self._kept.append(w)
             workers.clear()
-            obs_metrics.gauge("exec.workers").set(0)
+            obs_metrics.gauge("exec.workers").set(len(self._kept))
             if progress_painted:
                 paint_progress(final=True)

@@ -35,9 +35,10 @@ class WorkerContext:
     flags, cache handles, even whole parsed designs -- into every task
     tuple, which profiling showed dominated dispatch cost.  A
     ``WorkerContext`` carries that invariant state exactly once per
-    worker lifetime: the supervisor hands it to ``worker_main`` at spawn
+    worker per run: the supervisor hands it to ``worker_main`` at spawn
     (under the default ``fork`` start method it is inherited copy-on-write,
-    i.e. never serialized at all), and task functions read it back via
+    i.e. never serialized at all), or, to a worker kept from an earlier
+    run, in one pickled run message; task functions read it back via
     :func:`repro.exec.workers.worker_context`.
 
     ``values`` is an immutable mapping of whatever the task family needs

@@ -13,25 +13,32 @@ so the parent can:
 * attribute every failure to exactly one task -- the unit the supervisor
   retries, backs off, or quarantines.
 
-Workers are daemonic: if the parent dies uncleanly, the kernel reaps the
-pool instead of leaving orphaned processes behind.
+Workers are daemonic: multiprocessing terminates them when the parent
+exits.  If the parent dies uncleanly, a worker's pipe reaches EOF (the
+worker holds no copy of the parent's end, see
+:func:`release_inherited_sockets`) and the worker exits, so no orphan is
+left behind.
 
-**Warm-pool contract.**  Workers spawn once per supervised run and stay
-warm: a :class:`~repro.exec.task.WorkerContext` delivered at spawn (under
-the default ``fork`` start method it is inherited copy-on-write, never
-pickled) carries the run-invariant state -- the run's inputs, cache
-handles, strictness flags.  Task functions read it back with
+**Warm-pool contract.**  A worker lives as long as the supervisor that
+owns it, across supervised runs.  Each run's
+:class:`~repro.exec.task.WorkerContext` reaches a worker once: a worker
+forked for the run gets it at spawn (under the default ``fork`` start
+method it is inherited copy-on-write, never pickled), and a kept worker
+gets it in one ``("run", task, context)`` message before its first
+chunk.  The context carries the run-invariant state -- the run's inputs,
+cache handles, strictness flags.  Task functions read it back with
 :func:`worker_context`; the parent's inline-fallback path installs the
 same context around in-process execution via :func:`using_context`, so a
 task function behaves identically in both places.
 
 **Wire protocol.**  Parent -> worker: a *chunk* ``[(task_id, payload),
-...]`` or ``None`` (shutdown).  The worker runs the chunk's tasks in
-order and streams one reply per task as it goes -- ``("ok", task_id,
-TaskOutcome)`` or ``("exc", task_id, exc_type, exc_text)`` when an
-exception escaped the task function (task functions promise not to
-raise; escapes are exactly what supervision exists for -- memory
-ceilings, chaos faults, bugs).  Streaming keeps supervision per-task:
+...]``, a *run* message ``("run", task, context)`` that switches a kept
+worker to the next run, or ``None`` (shutdown).  The worker runs the
+chunk's tasks in order and streams one reply per task as it goes --
+``("ok", task_id, TaskOutcome)`` or ``("exc", task_id, exc_type,
+exc_text)`` when an exception escaped the task function (task functions
+promise not to raise; escapes are exactly what supervision exists for --
+memory ceilings, chaos faults, bugs).  Streaming keeps supervision per-task:
 the parent re-arms the deadline as each reply lands, and a worker that
 dies mid-chunk loses only its in-flight task (the chunk's unstarted
 remainder is requeued uncharged).  Chunking exists purely to amortize
@@ -54,6 +61,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import stat
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -90,8 +98,8 @@ def require_worker_context() -> WorkerContext:
 def _install_context(context: WorkerContext | None) -> None:
     """Install ``context`` process-wide.
 
-    Runs once at :func:`worker_main` startup and around the parent's
-    inline execution (:func:`using_context`).
+    Runs at :func:`worker_main` startup, on each run message, and around
+    the parent's inline execution (:func:`using_context`).
     """
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
@@ -138,13 +146,48 @@ def apply_memory_limit(limit_mb: int) -> bool:
         return False
 
 
+def release_inherited_sockets(keep: int) -> None:
+    """Drop this process's hold on every socket but ``keep``.
+
+    A ``fork`` worker inherits every descriptor its parent had open at
+    the fork -- in the serve daemon, the listening socket and the client
+    connections of that moment.  A worker outlives its run, so holding
+    them would keep a connection the daemon closed open for the peer.
+    Each inherited socket is pointed at ``/dev/null`` with ``dup2``
+    rather than closed, so its descriptor number stays taken and a stale
+    socket object that closes it later cannot close a file opened since.
+    Best-effort: where ``/proc/self/fd`` cannot be read nothing changes.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd in (keep, null):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                continue  # the descriptor listdir itself used, now gone
+    finally:
+        os.close(null)
+
+
 def worker_main(
     conn: Connection,
     task: Callable[[Any], Any],
     memory_limit_mb: int | None,
     context: WorkerContext | None = None,
 ) -> None:
-    """The worker loop: receive a chunk, stream one outcome per task."""
+    """The worker loop: receive a chunk, stream one outcome per task.
+
+    The memory ceiling is set once, for the worker's whole lifetime; a
+    run message only swaps the task function and the context.
+    """
+    release_inherited_sockets(conn.fileno())
     _install_context(context)
     if memory_limit_mb is not None:
         apply_memory_limit(memory_limit_mb)
@@ -158,6 +201,10 @@ def worker_main(
         unpickle_s = time.perf_counter() - t0
         if msg is None:
             return  # graceful shutdown
+        if isinstance(msg, tuple):  # ("run", task, context): next run
+            _, task, context = msg
+            _install_context(context)
+            continue
         # Chunk costs are shared evenly across its tasks so each attempt's
         # attribution stays meaningful (and nonzero).
         share_n = max(1, len(msg))
@@ -225,8 +272,10 @@ class WorkerHandle:
         #: Stable lane id of this worker within one supervised run ("w0",
         #: "w1", ...) -- the timeline's Gantt lane.  A respawn reuses its
         #: dead predecessor's lane id (see the supervisor's lane pool), so
-        #: kills do not proliferate lanes.
+        #: kills do not proliferate lanes; a kept worker gets a lane anew
+        #: in each run.
         self.wid = wid
+        self.lane = 0
         #: Task ids dispatched to this worker and not yet resolved; the
         #: head is the task in flight, the rest are queued in the worker.
         self.chunk: deque[int] = deque()
@@ -303,11 +352,6 @@ class WorkerHandle:
         else:
             self.deadline_at = None
             self._deadline_s = None
-
-    def mark_idle(self) -> None:
-        self.chunk.clear()
-        self.deadline_at = None
-        self._deadline_s = None
 
     def kill(self) -> None:
         """Forcibly terminate the worker and release its pipe."""

@@ -44,7 +44,7 @@ from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
 
 if TYPE_CHECKING:
     from repro.cache import SynthesisCache
-    from repro.exec import SupervisionPolicy, WorkerContext
+    from repro.exec import SupervisionPolicy, Supervisor, WorkerContext
     from repro.flow.dfg import DataflowGraph
     from repro.hdl import ast
 
@@ -269,12 +269,14 @@ def _lint_modules(
     config: LintConfig,
     jobs: int,
     supervision: SupervisionPolicy | None,
+    supervisor: Supervisor | None = None,
 ) -> list[ModuleLintResult]:
     """:func:`lint_module` over every module of ``design``, in order."""
     names = list(design.modules)
     with obs_trace.span("lint.design", modules=len(names), jobs=jobs):
         if jobs > 1 and len(names) > 1:
-            return _lint_in_pool(design, names, config, jobs, supervision)
+            return _lint_in_pool(design, names, config, jobs, supervision,
+                                 supervisor)
         return [lint_module(design, n, config) for n in names]
 
 
@@ -284,6 +286,7 @@ def _lint_in_pool(
     config: LintConfig,
     jobs: int,
     supervision: SupervisionPolicy | None,
+    supervisor: Supervisor | None,
 ) -> list[ModuleLintResult]:
     """The pool path of :func:`_lint_modules`: one task per module.
 
@@ -300,6 +303,7 @@ def _lint_in_pool(
         outcomes = run_pool(
             _lint_step, {"design": design, "names": names, "config": config},
             names, kind="l", jobs=jobs, supervision=supervision,
+            supervisor=supervisor,
         )
     results: list[ModuleLintResult] = []
     for name, outcome in zip(names, outcomes):
@@ -328,6 +332,7 @@ def lint_sources(
     jobs: int = 1,
     supervision: SupervisionPolicy | None = None,
     cache: SynthesisCache | None = None,
+    supervisor: Supervisor | None = None,
 ) -> LintReport:
     """Parse + merge ``sources``, then audit the resulting catalog.
 
@@ -339,7 +344,9 @@ def lint_sources(
     names and texts and the enabled-rule set and probed before anything
     is parsed: a hit re-runs only the catalog-scope assembly (ACC001,
     severity overrides, baseline suppression -- none of them in the key).
-    Only a run without any error is stored.
+    Only a run without any error is stored.  ``supervisor`` is an open
+    :class:`repro.exec.Supervisor` the ``jobs > 1`` pool runs on (``None``:
+    the run opens and joins its own).
     """
     config = config or LintConfig()
     with obs_trace.span("lint.run", files=len(sources), jobs=jobs) as run:
@@ -379,7 +386,8 @@ def lint_sources(
                              "or rename one",
                     )
                 )
-        results = _lint_modules(design, config, jobs, supervision)
+        results = _lint_modules(design, config, jobs, supervision,
+                                supervisor)
         if cache is not None and not errors:
             # The namespace refuses a tuple holding any module error.
             cache.store_lint(key, tuple(results))

@@ -16,6 +16,13 @@ pile up in the queue and are dispatched as one
 :meth:`Engine.measure_components` call into the supervised pool
 (chunked, cache-aware -- a fully warm batch never dispatches a task).
 
+The dispatcher holds that pool for its lifetime: it opens a
+:class:`~repro.exec.Supervisor` on the engine at the first batch that
+may use the pool (not at start-up, so an idle daemon forks nothing),
+every later batch reuses its idle workers instead of forking, and the
+dispatcher closes it -- shutting down and reaping up to ``jobs`` idle
+workers -- on its way out of :meth:`ServeSession.stop`.
+
 Trace ids: every request is assigned ``r<n>``.  A request processed alone
 runs under a ``serve.request`` span (engine spans nest beneath it); a
 micro-batch runs under one ``serve.batch`` span with a ``serve.request``
@@ -31,7 +38,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.engine import Engine
 from repro.obs import metrics as obs_metrics
@@ -46,7 +53,13 @@ from repro.serve.protocol import (
     ProtocolError,
 )
 
+if TYPE_CHECKING:
+    from repro.exec import Supervisor
+
 _STOP = object()
+
+#: Endpoints whose work can go through the worker pool.
+_POOLED = frozenset({"measure", "lint"})
 
 
 @dataclass
@@ -70,6 +83,8 @@ class ServeSession:
         self._lock = threading.Lock()
         self._inflight: dict[str, _Pending] = {}
         self._started = False
+        #: The supervisor this session opened on its engine, if any.
+        self._pool: "Supervisor | None" = None
         self._thread = threading.Thread(
             target=self._run, name="serve-dispatcher", daemon=True
         )
@@ -86,8 +101,10 @@ class ServeSession:
         Already-queued requests are still answered (that is the drain
         contract); only if the thread outlives ``grace_s`` is the
         in-flight pool run aborted via :func:`repro.exec.request_interrupt`
-        and any unresolved futures failed with 503.  Returns True for a
-        clean (non-forced) stop.
+        and any unresolved futures failed with 503.  Either way the
+        dispatcher closes the pool it holds before it exits, so no worker
+        outlives a stop that returns.  Returns True for a clean
+        (non-forced) stop.
         """
         if not self._started:
             return True
@@ -133,23 +150,35 @@ class ServeSession:
     # -- dispatcher ------------------------------------------------------------
 
     def _run(self) -> None:
-        while True:
-            head = self._queue.get()
-            if head is _STOP:
-                return
-            batch = [head]
+        try:
             while True:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    self._dispatch(batch)
+                head = self._queue.get()
+                if head is _STOP:
                     return
-                batch.append(nxt)
-            self._dispatch(batch)
+                batch = [head]
+                while True:
+                    try:
+                        nxt = self._queue.get_nowait()
+                    except queue.Empty:
+                        break
+                    if nxt is _STOP:
+                        self._dispatch(batch)
+                        return
+                    batch.append(nxt)
+                self._dispatch(batch)
+        finally:
+            if self._pool is not None:
+                self.engine.supervisor = None
+                self._pool.close()
 
     def _dispatch(self, batch: list[_Pending]) -> None:
+        if self.engine.supervisor is None and any(
+            item.endpoint in _POOLED for item in batch
+        ):
+            from repro.exec import Supervisor
+
+            self._pool = Supervisor(self.engine.jobs, self.engine.supervision)
+            self.engine.supervisor = self._pool
         obs_metrics.counter("serve.batches").inc()
         obs_metrics.histogram("serve.batch_size").observe(len(batch))
         tracer = obs_trace.active()

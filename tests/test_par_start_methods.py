@@ -93,3 +93,48 @@ def test_pool_equals_sequential(method):
     assert done.stdout.strip().splitlines()[-1] == (
         f"{method} {{'batch': True, 'sweep': True, 'lint': True}}"
     )
+
+
+_REUSE = """
+import multiprocessing, pickle, sys
+multiprocessing.set_start_method(sys.argv[1])
+
+from repro.core.engine import Engine
+from repro.exec import Supervisor
+from repro.gen import corpus_specs, generate_corpus
+from repro.hdl.source import VERILOG, VHDL
+from repro.obs import metrics as obs_metrics
+
+reused = obs_metrics.counter("exec.workers_reused")
+first = corpus_specs(generate_corpus(VERILOG, 2, seed=5))
+second = corpus_specs(generate_corpus(VHDL, 2, seed=6))
+sources = [s for spec in first + second for s in spec.sources]
+
+def runs(engine):
+    # A measure batch, a lint run and another measure batch, in order.
+    parts = list(engine.measure_components(first).results.values())
+    report = engine.lint(sources)
+    parts += [*report.findings, *report.errors, report.modules]
+    parts += engine.measure_components(second).results.values()
+    return [pickle.dumps(part) for part in parts]
+
+with Supervisor(2) as sup:
+    held = runs(Engine(jobs=2, supervisor=sup))
+print(multiprocessing.get_start_method(), held == runs(Engine(jobs=1)),
+      reused.value >= 2, multiprocessing.active_children())
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_kept_workers_equal_sequential(method):
+    # A kept worker gets each later run's context in one pickled message.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _REUSE, method],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == f"{method} True True []"
