@@ -12,6 +12,12 @@ Two trajectories the paper's harness tracks in BENCH_obs.json:
 * ``cache.hit_rate_warm`` / ``cache.synth_skip_fraction`` -- how much of
   the synthesize stage a warm content-addressed cache elides on an
   unchanged catalog (the acceptance bar is >= 0.9 skipped).
+* ``exec.pool_cpu_ratio`` -- user CPU of a cold ``jobs=2`` measure of a
+  200-module generated catalog (the parent plus the workers it reaps)
+  over the user CPU of the same measure inline, each into a fresh
+  cache; the median over :data:`RATIO_PAIRS` back-to-back pairs.  What
+  the pool adds to the work, in CPU rather than wall time (lower is
+  better; 1.0 would be a free pool).
 * ``cache.store_ms`` -- process CPU (user + sys) milliseconds of storing
   what one cold measure of a 200-component catalog of flat generated
   modules writes (200 synthesis reports and 200 pristine measurements)
@@ -19,8 +25,11 @@ Two trajectories the paper's harness tracks in BENCH_obs.json:
   (lower is better; best of :data:`REPEATS`).
 """
 
+import gc
 import os
 import pickle
+import resource
+import statistics
 import time
 
 from repro.cache import SynthesisCache, hit_rate
@@ -37,6 +46,11 @@ CORPUS_SEED = 11
 #: Best-of-N timing repeats (pool warm-up and scheduler noise average out
 #: poorly on shared runners; the minimum is the honest machine capability).
 REPEATS = 2
+
+#: Inline/pooled pairs behind ``exec.pool_cpu_ratio``.  A shared host's
+#: speed drifts by tens of percent between runs, so each pair runs back
+#: to back and the series is the median of the pairs' ratios.
+RATIO_PAIRS = 5
 
 
 def _speedup_specs():
@@ -80,15 +94,53 @@ def test_parallel_catalog_speedup(bench_series, report):
     )
 
 
-def test_cache_store_cpu(bench_series, report, tmp_path):
-    modules = generate_corpus(
+def _user_cpu_s() -> float:
+    """User CPU seconds of this process plus the children it reaped."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + kids.ru_utime
+
+
+def _clean_catalog_specs(prefix: str):
+    return corpus_specs(generate_corpus(
         "verilog", CORPUS_SIZE, seed=CORPUS_SEED, kinds=clean_kinds(),
-        name_prefix="sv",
+        name_prefix=f"{prefix}v",
     ) + generate_corpus(
         "vhdl", CORPUS_SIZE, seed=CORPUS_SEED, kinds=clean_kinds(),
-        name_prefix="sh",
+        name_prefix=f"{prefix}h",
+    ))
+
+
+def test_pool_cpu_ratio(bench_series, report, tmp_path):
+    specs = _clean_catalog_specs("p")
+    Engine().measure_components(specs[:4])  # load the pipeline once
+    ratios, results = [], {}
+    for repeat in range(RATIO_PAIRS):
+        spent = {}
+        for jobs in (1, 2):
+            engine = Engine(cache=SynthesisCache(tmp_path / f"{jobs}.{repeat}"),
+                            jobs=jobs)
+            gc.collect()
+            with obs_metrics.using(obs_metrics.MetricsRegistry()):
+                t0 = _user_cpu_s()
+                results[jobs] = engine.measure_components(specs).results
+                spent[jobs] = _user_cpu_s() - t0
+        ratios.append(spent[2] / spent[1])
+    for name, result in results[1].items():
+        assert pickle.dumps(results[2][name]) == pickle.dumps(result), name
+
+    ratio = statistics.median(ratios)
+    bench_series("exec.pool_cpu_ratio", ratio)
+    report(
+        "pool CPU (cold catalog, 200 components, fresh cache)",
+        f"jobs=2 over inline user CPU (parent + workers): median {ratio:.3f} "
+        f"of {RATIO_PAIRS} back-to-back pairs "
+        f"({', '.join(f'{r:.3f}' for r in ratios)})",
     )
-    specs = corpus_specs(modules)
+
+
+def test_cache_store_cpu(bench_series, report, tmp_path):
+    specs = _clean_catalog_specs("s")
     seed = SynthesisCache(tmp_path / "seed")
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
         Engine(cache=seed).measure_components(specs)

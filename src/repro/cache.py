@@ -249,7 +249,7 @@ class SynthesisCache:
 
     def store(self, key: str, report: SynthesisReport) -> bool:
         """Atomically write one entry; failures are counted, not raised."""
-        return self._write(_SYNTH, key, report)
+        return self._write(_SYNTH, key, report) is not None
 
     # -- whole-measurement memo ----------------------------------------------
     #
@@ -286,8 +286,9 @@ class SynthesisCache:
         """The stored pristine ``Result`` on a hit, else ``None``."""
         return self._read(_MEASURE, key).value
 
-    def store_measurement(self, key: str, result) -> bool:
-        """Memoize one *pristine* measurement (value, no diagnostics)."""
+    def store_measurement(self, key: str, result) -> bytes | None:
+        """Memoize one *pristine* measurement (value, no diagnostics);
+        returns the bytes stored, for a pool worker's reply to reuse."""
         return self._write(_MEASURE, key, result)
 
     # -- whole-run lint memo -------------------------------------------------
@@ -315,7 +316,7 @@ class SynthesisCache:
 
     def store_lint(self, key: str, results) -> bool:
         """Memoize one run's module lint results, if none has errors."""
-        return self._write(_LINT, key, results)
+        return self._write(_LINT, key, results) is not None
 
     # -- the one read path and the one write path ----------------------------
 
@@ -361,16 +362,17 @@ class SynthesisCache:
         obs_metrics.counter(ns.counter + "hits").inc()
         return CacheLookup("hit", value=value)
 
-    def _write(self, ns: _Namespace, key: str, value: Any) -> bool:
-        """Atomically write one entry the namespace accepts.
+    def _write(self, ns: _Namespace, key: str, value: Any) -> bytes | None:
+        """Atomically write one entry the namespace accepts; returns the
+        bytes written, or ``None`` when nothing was.
 
         Pickled before any file exists, written to ``<key>.<pid>.<seq>.tmp``
         and renamed over the entry (DESIGN.md section 8).  A value the
-        loader would refuse to serve is not written (returns False, counts
-        nothing); I/O failures are counted, not raised.
+        loader would refuse to serve is not written (counts nothing); I/O
+        failures are counted, not raised.
         """
         if not ns.accepts(value):
-            return False
+            return None
         shard = self._shard(ns, key)
         try:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -389,9 +391,9 @@ class SynthesisCache:
                 raise
         except Exception:  # noqa: BLE001 -- caching is best-effort
             obs_metrics.counter("cache.errors").inc()
-            return False
+            return None
         obs_metrics.counter(ns.counter + "stores").inc()
-        return True
+        return blob
 
     @staticmethod
     def _evict(path: str | Path) -> None:

@@ -56,6 +56,7 @@ if TYPE_CHECKING:
     from repro.core.estimator import DesignEffortEstimator
     from repro.data.dataset import EffortDataset
     from repro.exec import SupervisionPolicy, Supervisor, WorkerContext
+    from repro.exec.task import Pickled
     from repro.hdl import ast
     from repro.hdl.source import SourceFile
     from repro.lint.engine import LintReport
@@ -505,7 +506,7 @@ class Engine:
             results.update(self._measure_in_pool(misses, strict, lint))
         else:
             for spec, key in misses:
-                results[spec.name] = self._measure_and_store(
+                results[spec.name], _ = self._measure_and_store(
                     spec, key, strict, lint
                 )
         return BatchMeasurement(
@@ -518,19 +519,20 @@ class Engine:
         key: str | None,
         strict: bool,
         lint: bool,
-    ) -> Result[ComponentMeasurement]:
+    ) -> tuple[Result[ComponentMeasurement], bytes | None]:
         """Measure one batch spec and memoize it under ``key`` at once.
 
         The one store site of the memo, run inline or in a pool worker;
-        ``store_measurement`` refuses degraded results.
+        ``store_measurement`` refuses degraded results.  Also returns the
+        bytes stored (``None``: nothing), which a worker's reply reuses.
         """
         result = self.measure_component_safe(
             spec.sources, spec.top, name=spec.name,
             policy=spec.policy, strict=strict, lint=lint,
         )
-        if key is not None:
-            self.cache.store_measurement(key, result)
-        return result
+        if key is None:
+            return result, None
+        return result, self.cache.store_measurement(key, result)
 
     def _measure_in_pool(
         self,
@@ -677,13 +679,16 @@ class Engine:
 
 def _measure_step(
     inputs: "WorkerContext", index: int
-) -> tuple[Result[ComponentMeasurement], tuple[()]]:
-    """Worker side of :meth:`Engine._measure_in_pool`: measure spec ``index``."""
-    result = Engine(cache=inputs["cache"])._measure_and_store(
+) -> tuple["Pickled", tuple[()]]:
+    """Worker side of :meth:`Engine._measure_in_pool`: measure spec
+    ``index``; the reply reuses the memo's bytes of a stored result."""
+    from repro.exec.task import Pickled
+
+    result, blob = Engine(cache=inputs["cache"])._measure_and_store(
         inputs["specs"][index], inputs["keys"][index],
         inputs["strict"], inputs["lint"],
     )
-    return result, ()
+    return Pickled(result, blob), ()
 
 
 def _synthesize_step(

@@ -27,6 +27,7 @@ from repro import lazy_exports
 #: ``multiprocessing``.
 _EXPORTS = {
     "AUTO_CHUNK_CAP": "repro.exec.supervisor",
+    "Pickled": "repro.exec.task",
     "QUARANTINE_HINT": "repro.exec.supervisor",
     "RunInterrupted": "repro.exec.policy",
     "SupervisionPolicy": "repro.exec.policy",
@@ -37,7 +38,6 @@ _EXPORTS = {
     "WorkerTelemetry": "repro.exec.task",
     "apply_memory_limit": "repro.exec.workers",
     "clear_interrupt": "repro.exec.supervisor",
-    "interrupt_requested": "repro.exec.supervisor",
     "request_interrupt": "repro.exec.supervisor",
     "require_worker_context": "repro.exec.workers",
     "run_pool": "repro.exec.pool",

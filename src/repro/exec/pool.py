@@ -25,9 +25,9 @@ keeps the sequential contracts bit for bit:
   interrupted run resume.
 * **Telemetry.**  Each task runs under a fresh metrics registry and, when
   the parent is traced, its own tracer.  On join the parent merges the
-  worker's metrics and grafts its span tree under namespaced ids
-  (``"b3.w7:12"``) below the task's ``exec.task`` attempt span, and
-  rewrites diagnostic span ids to match.
+  worker's counters, observes the worker loop's three costs, grafts its
+  span tree under namespaced ids (``"b3.w7:12"``) below the task's
+  ``exec.task`` attempt span, and rewrites diagnostic span ids to match.
 * **Imports before the fork.**  The pipeline loads lazily, so a parent
   may not have imported it yet; :func:`run_pool` loads it first
   (:func:`~repro.runtime.stages.load_pipeline`) and ``fork`` workers
@@ -57,7 +57,8 @@ from repro.exec.workers import require_worker_context
 _NAMESPACE_COUNTER = itertools.count()
 
 #: A step computes task ``index`` from the run's inputs (the installed
-#: :class:`WorkerContext`) and returns ``(value, diagnostics)``.
+#: :class:`WorkerContext`) and returns ``(value, diagnostics)``; the value
+#: may be a :class:`~repro.exec.task.Pickled` that carries its own bytes.
 Step = Callable[[WorkerContext, int], tuple[Any, Sequence[Diagnostic]]]
 
 
@@ -139,6 +140,7 @@ def merge_worker_telemetry(
 ) -> dict[int | str, str]:
     """Fold one worker's telemetry into the parent's registry/tracer.
 
+    The worker loop's costs become ``exec.worker_*`` observations.
     Returns the span-id remapping from :meth:`Tracer.graft` (empty when
     untraced) so callers can remap ``Diagnostic.span_id`` references.
 
@@ -152,7 +154,13 @@ def merge_worker_telemetry(
     tel = outcome.telemetry
     if tel is None:
         return {}
-    obs_metrics.registry().merge(tel.metrics)
+    registry = obs_metrics.registry()
+    registry.merge(tel.metrics)
+    if tel.costs is not None:
+        payload_bytes, unpickle_s, compute_s = tel.costs
+        registry.counter("exec.worker_payload_bytes").inc(payload_bytes)
+        registry.histogram("exec.worker_unpickle_s").observe(unpickle_s)
+        registry.histogram("exec.worker_compute_s").observe(compute_s)
     tracer = obs_trace.active()
     if tracer is None or not tel.spans:
         return {}

@@ -63,14 +63,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import pickle
 import random
+import selectors
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -94,8 +96,9 @@ AUTO_CHUNK_CAP = 16
 # thread's signal handling.  ``request_interrupt`` is the thread-safe
 # equivalent of delivering SIGTERM to a supervised run: the monitor loop
 # checks the event alongside its own signal flag and raises
-# :class:`RunInterrupted`, draining the pool the same way.  The flag is process-global (one serve daemon per process);
-# ``clear_interrupt`` resets it before a new run.
+# :class:`RunInterrupted`, draining the pool the same way.  The flag is
+# process-global (one serve daemon per process); ``clear_interrupt``
+# resets it before a new run.
 
 _EXTERNAL_INTERRUPT = threading.Event()
 _EXTERNAL_SIGNUM: int = int(signal.SIGTERM)
@@ -111,11 +114,6 @@ def request_interrupt(signum: int = signal.SIGTERM) -> None:
 def clear_interrupt() -> None:
     """Re-arm supervised execution after :func:`request_interrupt`."""
     _EXTERNAL_INTERRUPT.clear()
-
-
-def interrupt_requested() -> bool:
-    """Whether a cross-thread interrupt is pending."""
-    return _EXTERNAL_INTERRUPT.is_set()
 
 
 @dataclass
@@ -224,15 +222,7 @@ class Supervisor:
         ):
             with self._signals_installed():
                 self._run_supervised(task, states, outcomes, context)
-        # Every slot is filled on a normal exit; the guard keeps alignment
-        # even if a future refactor leaks a hole.  It runs in-process, so
-        # the worker context must be installed around it.
-        payload_by_index = {s.index: s.payload for s in states}
-        if any(o is None for o in outcomes):
-            with using_context(context):
-                for i, outcome in enumerate(outcomes):
-                    if outcome is None:
-                        outcomes[i] = task(payload_by_index[i])
+        # The loop ends only when every slot holds its task's outcome.
         return outcomes  # type: ignore[return-value]
 
     # -- chaos ----------------------------------------------------------------
@@ -251,34 +241,29 @@ class Supervisor:
 
     # -- signal handling ------------------------------------------------------
 
-    def _signals_installed(self):
-        from contextlib import contextmanager
+    @contextmanager
+    def _signals_installed(self) -> Iterator[None]:
+        installed: list[tuple[int, Any]] = []
+        if (
+            self.policy.handle_signals
+            and threading.current_thread() is threading.main_thread()
+        ):
+            def handler(signum, frame):  # noqa: ARG001
+                self._signal = signum
 
-        @contextmanager
-        def ctx():
-            installed: list[tuple[int, Any]] = []
-            if (
-                self.policy.handle_signals
-                and threading.current_thread() is threading.main_thread()
-            ):
-                def handler(signum, frame):  # noqa: ARG001
-                    self._signal = signum
-
-                for sig in (signal.SIGINT, signal.SIGTERM):
-                    try:
-                        installed.append((sig, signal.signal(sig, handler)))
-                    except (ValueError, OSError):
-                        pass
-            try:
-                yield
-            finally:
-                for sig, prev in installed:
-                    try:
-                        signal.signal(sig, prev)
-                    except (ValueError, OSError):
-                        pass
-
-        return ctx()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    installed.append((sig, signal.signal(sig, handler)))
+                except (ValueError, OSError):
+                    pass
+        try:
+            yield
+        finally:
+            for sig, prev in installed:
+                try:
+                    signal.signal(sig, prev)
+                except (ValueError, OSError):
+                    pass
 
     # -- the monitor loop -----------------------------------------------------
 
@@ -291,11 +276,16 @@ class Supervisor:
     ) -> None:
         policy = self.policy
         total = len(states)
-        queued: list[_TaskState] = list(states)
         by_index = {s.index: s for s in states}
+        # Heaps keep the queue in index order: indices ready to run, and
+        # ``(release instant, index)`` of retries backing off.
+        ready: list[int] = sorted(by_index)
+        backoff: list[tuple[float, int]] = []
         workers: list[WorkerHandle] = []
+        selector = selectors.DefaultSelector()  # the run's workers' pipes
         respawns_left = policy.respawn_budget(self.jobs)
         completed = 0
+        encoded: list[int] = []  # slots holding a worker's pickled outcome
 
         # Attribution clock: exec.task/exec.spawn spans are timed on the
         # monotonic clock but recorded on the tracer's timeline; this pins
@@ -343,7 +333,8 @@ class Supervisor:
                 eta = "?"
             line = (
                 f"[exec] {completed}/{total} tasks  {rate:.1f}/s  "
-                f"eta {eta}  workers {len(workers)}  queued {len(queued)}"
+                f"eta {eta}  workers {len(workers)}  "
+                f"queued {len(ready) + len(backoff)}"
             )
             try:
                 stream.write("\r" + line.ljust(progress_painted))
@@ -381,6 +372,11 @@ class Supervisor:
                 result_bytes=w.result_bytes,
             )
 
+        def join(w: WorkerHandle) -> None:
+            workers.append(w)
+            selector.register(w.conn, selectors.EVENT_READ, w)
+            obs_metrics.gauge("exec.workers").set(len(workers))
+
         def spawn() -> WorkerHandle | None:
             t0 = time.monotonic()
             lane = heapq.heappop(free_lanes) if free_lanes else next(lane_seq)
@@ -398,8 +394,7 @@ class Supervisor:
             if tracer is not None:
                 tracer.record_span("exec.spawn", rel(t0), spawn_s,
                                    wid=w.wid, respawn=gen)
-            workers.append(w)
-            obs_metrics.gauge("exec.workers").set(len(workers))
+            join(w)
             return w
 
         def reuse(w: WorkerHandle, message: bytes) -> None:
@@ -411,15 +406,15 @@ class Supervisor:
                 return
             w.lane = next(lane_seq)
             w.wid = f"w{w.lane}"
-            workers.append(w)
             obs_metrics.counter("exec.workers_reused").inc()
-            obs_metrics.gauge("exec.workers").set(len(workers))
+            join(w)
 
         def retire(w: WorkerHandle) -> None:
-            w.kill()
             if w in workers:
+                selector.unregister(w.conn)
                 workers.remove(w)
                 heapq.heappush(free_lanes, w.lane)
+            w.kill()
             obs_metrics.gauge("exec.workers").set(len(workers))
 
         def quarantine(state: _TaskState, reason: str) -> None:
@@ -463,7 +458,7 @@ class Supervisor:
                 state.attempts, self._rng
             )
             state.enqueued_at = time.monotonic()
-            queued.append(state)
+            heapq.heappush(backoff, (state.not_before, state.index))
 
         def advance_worker(w: WorkerHandle) -> None:
             """Resolve the chunk head; surface the next queued task (if any)
@@ -498,7 +493,7 @@ class Supervisor:
             for mate in mates:
                 if outcomes[mate.index] is None:
                     mate.enqueued_at = now
-                    queued.append(mate)
+                    heapq.heappush(ready, mate.index)
             if state is not None:
                 task_failed(state, kill=kill, reason=reason)
             if completed < total and respawns_left > 0:
@@ -506,7 +501,7 @@ class Supervisor:
                     respawns_left -= 1
                     obs_metrics.counter("exec.respawns").inc()
 
-        def complete(w: WorkerHandle, outcome: TaskOutcome) -> None:
+        def complete(w: WorkerHandle, outcome: bytes) -> None:
             nonlocal completed
             state = by_index.get(w.task_idx if w.task_idx is not None else -1)
             deadline_at = w.deadline_at
@@ -520,6 +515,7 @@ class Supervisor:
                     deadline_at - time.monotonic()
                 )
             outcomes[state.index] = outcome
+            encoded.append(state.index)
             completed += 1
             obs_metrics.counter("exec.completed").inc()
             obs_metrics.counter("parallel.tasks").inc()
@@ -557,7 +553,10 @@ class Supervisor:
                     # would take the parent down with it -- so it is
                     # quarantined on the spot.
                     obs_metrics.counter("parallel.fallback_sequential").inc()
-                    for state in queued:
+                    pending = sorted(ready + [i for _, i in backoff])
+                    ready.clear()
+                    backoff.clear()
+                    for state in (by_index[i] for i in pending):
                         if outcomes[state.index] is not None:
                             continue
                         if state.unsafe_inline:
@@ -587,7 +586,6 @@ class Supervisor:
                         obs_metrics.counter("exec.completed").inc()
                         obs_metrics.counter("parallel.tasks").inc()
                         paint_progress()
-                    queued.clear()
                     continue
 
                 now = time.monotonic()
@@ -597,17 +595,17 @@ class Supervisor:
                 # amortizing the per-message round-trip that dominates
                 # short tasks.  Workers stream one reply per task, so
                 # deadlines and failure charging stay per-task.
-                queued.sort(key=lambda s: s.index)
-                ready = [s for s in queued if s.not_before <= now]
-                idle = [w for w in workers if not w.busy]
-                if ready and idle:
+                while backoff and backoff[0][0] <= now:
+                    heapq.heappush(ready, heapq.heappop(backoff)[1])
+                idle = [w for w in workers if not w.busy] if ready else []
+                if idle:
                     cap = policy.chunk_size or AUTO_CHUNK_CAP
                     per_worker = max(
                         1, min(cap, math.ceil(len(ready) / len(idle)))
                     )
-                    pos = 0
                     for w in idle:
-                        batch = ready[pos:pos + per_worker]
+                        batch = [by_index[heapq.heappop(ready)]
+                                 for _ in range(min(per_worker, len(ready)))]
                         if not batch:
                             break
                         try:
@@ -617,14 +615,13 @@ class Supervisor:
                             )
                         except (BrokenPipeError, OSError):
                             # Idle worker died between chunks: the batch was
-                            # never recorded on the handle, so it stays in
-                            # the queue untouched.
+                            # never recorded on the handle, so it goes back
+                            # to the queue untouched.
+                            for s in batch:
+                                heapq.heappush(ready, s.index)
                             obs_metrics.counter("exec.worker_deaths").inc()
                             worker_lost(w, "worker died while idle")
                             break
-                        pos += len(batch)
-                        for s in batch:
-                            queued.remove(s)
                         head = batch[0]
                         w.queue_wait_s = max(
                             time.monotonic()
@@ -648,65 +645,51 @@ class Supervisor:
                 for w in workers:
                     if w.busy and w.deadline_at is not None:
                         timeout = min(timeout, max(w.deadline_at - now, 0.0))
-                for state in queued:
-                    if state.not_before > now:
-                        timeout = min(timeout, state.not_before - now)
-                busy = [w for w in workers if w.busy]
+                if backoff:
+                    timeout = min(timeout, max(backoff[0][0] - now, 0.0))
                 obs_metrics.counter("exec.heartbeats").inc()
-                if busy:
-                    ready_conns = mp_connection.wait(
-                        [w.conn for w in busy], timeout
-                    )
-                    conn_map = {w.conn: w for w in busy}
-                    for conn in ready_conns:
-                        w = conn_map[conn]
-                        # Drain every reply this worker has streamed so far
-                        # (a chunk produces several per wakeup), stopping
-                        # when its buffer is empty or its chunk is done.
-                        while True:
-                            try:
-                                msg = w.recv_message()
-                            except (EOFError, OSError):
-                                obs_metrics.counter("exec.worker_deaths").inc()
-                                worker_lost(w, "worker process died mid-task")
-                                break
+                if any(w.busy for w in workers):
+                    # One message per readable pipe: the selector reports a
+                    # pipe again while more replies are waiting in it.
+                    for key, _events in selector.select(timeout):
+                        w = key.data
+                        try:
+                            msg = w.recv_message()
+                        except (EOFError, OSError):
+                            obs_metrics.counter("exec.worker_deaths").inc()
+                            worker_lost(w, "worker process died mid-task"
+                                        if w.busy else "worker died while idle")
+                            continue
+                        obs_metrics.counter("exec.result_bytes").inc(
+                            w.result_bytes
+                        )
+                        kind, task_id, *rest = msg
+                        if kind != "ok":  # an ok outcome is decoded below
                             obs_metrics.histogram("exec.unpickle_s").observe(
                                 w.unpickle_s
                             )
-                            obs_metrics.counter("exec.result_bytes").inc(
-                                w.result_bytes
-                            )
-                            kind, task_id, *rest = msg
-                            if task_id != w.task_idx:
-                                pass  # reply for a task already re-routed
-                            elif kind == "ok":
-                                complete(w, rest[0])
-                            elif rest[0] == "MemoryError":
-                                # Its heap may have grown: never reuse it.
-                                worker_lost(w, f"MemoryError: {rest[1]}",
-                                            kill=False)
-                                break
-                            else:
-                                exc_type, exc_text = rest
-                                state = by_index[task_id]
-                                if outcomes[state.index] is None:
-                                    record_task_span(
-                                        w, state, "exc",
-                                        error=f"{exc_type}: {exc_text}",
-                                    )
-                                advance_worker(w)
-                                if outcomes[state.index] is None:
-                                    task_failed(
-                                        state, kill=False,
-                                        reason=f"{exc_type}: {exc_text}",
-                                    )
-                            if not w.busy:
-                                break
-                            try:
-                                if not w.conn.poll():
-                                    break
-                            except (OSError, ValueError):
-                                break
+                        if task_id != w.task_idx:
+                            pass  # reply for a task already re-routed
+                        elif kind == "ok":
+                            complete(w, rest[0])
+                        elif rest[0] == "MemoryError":
+                            # Its heap may have grown: never reuse it.
+                            worker_lost(w, f"MemoryError: {rest[1]}",
+                                        kill=False)
+                        else:
+                            exc_type, exc_text = rest
+                            state = by_index[task_id]
+                            if outcomes[state.index] is None:
+                                record_task_span(
+                                    w, state, "exc",
+                                    error=f"{exc_type}: {exc_text}",
+                                )
+                            advance_worker(w)
+                            if outcomes[state.index] is None:
+                                task_failed(
+                                    state, kill=False,
+                                    reason=f"{exc_type}: {exc_text}",
+                                )
                 elif timeout > 0:
                     time.sleep(timeout)
 
@@ -721,9 +704,17 @@ class Supervisor:
                             f"attempt exceeded the {policy.deadline_s:.6g}s "
                             f"deadline (ran {elapsed:.1f}s); worker killed",
                         )
+
+            # Back to back, now no wakeup interleaves (repro.exec.workers).
+            for index in encoded:
+                t0 = time.perf_counter()
+                outcomes[index] = pickle.loads(outcomes[index])
+                unpickle_s = time.perf_counter() - t0
+                obs_metrics.histogram("exec.unpickle_s").observe(unpickle_s)
         finally:
             # Idle workers are kept for the next run; a worker still busy
             # (the run was interrupted or raised) is killed.
+            selector.close()
             for w in workers:
                 if w.busy:
                     w.kill()

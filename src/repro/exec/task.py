@@ -17,6 +17,7 @@ measurement pipeline.
 
 from __future__ import annotations
 
+import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -68,75 +69,67 @@ class WorkerContext:
 
 @dataclass
 class WorkerTelemetry:
-    """One worker task's observability payload, shipped back on join."""
+    """One worker task's observability payload, shipped with its reply:
+    its private registry's dump, its spans when traced, and ``costs``,
+    the worker loop's ``(payload_bytes, unpickle_s, compute_s)`` for the
+    attempt, set after the task returned."""
 
     namespace: str
     metrics: dict[str, Any] = field(default_factory=dict)
     spans: list[obs_trace.Span] = field(default_factory=list)
+    costs: tuple[float, float, float] | None = None
 
 
 @dataclass
 class TaskOutcome:
-    """What one pool task produced: a value, an error, or a quarantine."""
+    """What one pool task produced: a value, an error, or a quarantine.
+
+    With ``value_blob`` (the value's pickle, made by a cache store) the
+    outcome pickles as those bytes instead of pickling the value again.
+    """
 
     value: Any = None
     error: BaseException | None = None
     diagnostics: tuple[Diagnostic, ...] = ()
     telemetry: WorkerTelemetry | None = None
+    value_blob: bytes | None = field(default=None, repr=False, compare=False)
+
+    def __reduce__(self):
+        if self.value_blob is None:
+            return (TaskOutcome, (self.value, self.error, self.diagnostics,
+                                  self.telemetry))
+        return (_outcome_from_blob, (self.value_blob, self.error,
+                                     self.diagnostics, self.telemetry))
 
 
-def annotate_worker_stats(
-    value: Any,
-    *,
-    payload_bytes: int,
-    unpickle_s: float,
-    compute_s: float,
-) -> None:
-    """Fold one attempt's worker-side costs into the outcome's telemetry.
+def _outcome_from_blob(blob: bytes, *rest: Any) -> TaskOutcome:
+    return TaskOutcome(pickle.loads(blob), *rest)
 
-    The worker loop (:func:`repro.exec.workers.worker_main`) measures what
-    only it can see -- the payload's unpickle time and the task's pure
-    compute time -- *after* the outcome object exists, so the numbers are
-    injected into the telemetry's registry dump rather than recorded
-    through the worker's (already closed) registry.  They merge into the
-    parent registry on join like every other worker instrument:
 
-    * ``exec.worker_unpickle_s`` / ``exec.worker_compute_s`` histograms;
-    * ``exec.worker_payload_bytes`` counter.
+@dataclass(frozen=True)
+class Pickled:
+    """A step's value with the bytes a cache store just pickled it to
+    (``None``: nothing was stored), for the reply to carry as they are."""
 
-    ``value`` is duck-typed: anything without a ``telemetry`` attribute
-    (a non-``TaskOutcome`` task) is left untouched.
-    """
-    telemetry = getattr(value, "telemetry", None)
-    if telemetry is None or not isinstance(telemetry.metrics, dict):
-        return
-    dump = telemetry.metrics
-    hists = dump.setdefault("histograms", {})
-    for name, value in (("exec.worker_unpickle_s", unpickle_s),
-                        ("exec.worker_compute_s", compute_s)):
-        hist = obs_metrics.Histogram(name)
-        if name in hists:
-            hist.fold(hists[name])
-        hist.observe(value)
-        hists[name] = hist.dump()
-    counters = dump.setdefault("counters", {})
-    counters["exec.worker_payload_bytes"] = (
-        counters.get("exec.worker_payload_bytes", 0.0) + float(payload_bytes)
-    )
+    value: Any
+    blob: bytes | None
 
 
 def run_traced_task(
     fn: Callable[[], tuple[Any, tuple]], namespace: str, capture_trace: bool
 ) -> TaskOutcome:
-    """Run ``fn`` under a private registry/tracer; never raises."""
+    """Run ``fn`` under a private registry/tracer; never raises.  A
+    :class:`Pickled` value hands its bytes to the outcome."""
     registry = obs_metrics.MetricsRegistry()
     tracer = obs_trace.Tracer() if capture_trace else None
-    value, error, diagnostics = None, None, ()
+    value, error, diagnostics, blob = None, None, (), None
     with obs_metrics.using(registry):
         ctx = obs_trace.using(tracer) if tracer is not None else nullcontext()
         with ctx:
             try:
                 value, diagnostics = fn()
+                if isinstance(value, Pickled):
+                    value, blob = value.value, value.blob
             except Exception as exc:  # noqa: BLE001 -- ferried to the parent
                 error = exc
     return TaskOutcome(
@@ -148,4 +141,5 @@ def run_traced_task(
             metrics=registry.dump(),
             spans=list(tracer.spans) if tracer is not None else [],
         ),
+        value_blob=blob,
     )

@@ -35,25 +35,26 @@ task function behaves identically in both places.
 ...]``, a *run* message ``("run", task, context)`` that switches a kept
 worker to the next run, or ``None`` (shutdown).  The worker runs the
 chunk's tasks in order and streams one reply per task as it goes --
-``("ok", task_id, TaskOutcome)`` or ``("exc", task_id, exc_type,
-exc_text)`` when an exception escaped the task function (task functions
-promise not to raise; escapes are exactly what supervision exists for --
-memory ceilings, chaos faults, bugs).  Streaming keeps supervision per-task:
-the parent re-arms the deadline as each reply lands, and a worker that
-dies mid-chunk loses only its in-flight task (the chunk's unstarted
-remainder is requeued uncharged).  Chunking exists purely to amortize
-the per-message pipe round-trip that profiling showed dominating short
-tasks.
+``("ok", task_id, <pickled TaskOutcome>)`` or ``("exc", task_id,
+exc_type, exc_text)`` when an exception escaped the task function (task
+functions promise not to raise; escapes are exactly what supervision
+exists for -- memory ceilings, chaos faults, bugs).  Streaming keeps
+supervision per-task: the parent re-arms the deadline as each reply
+lands, and a worker that dies mid-chunk loses only its in-flight task
+(the chunk's unstarted remainder is requeued uncharged).  Chunking
+amortizes the per-message pipe round-trip that dominates short tasks.
+The monitor unpickles only an ``ok`` reply's envelope as it lands and
+decodes the outcomes back to back when the run's last task is in, which
+costs less CPU than decoding each between the workers' wakeups.
 
-Both ends serialize explicitly (``ForkingPickler.dumps`` +
-``send_bytes`` / ``recv_bytes`` + ``pickle.loads`` -- byte-identical to
-what ``Connection.send``/``recv`` do internally) so every message's
-pickle time and payload size can be attributed: the parent times payload
-pickling and result unpickling, the worker times payload unpickling and
-each task's compute, and ships its numbers back inside the outcome's
-telemetry (see :func:`repro.exec.task.annotate_worker_stats`).  Chunk
-costs are apportioned evenly over the chunk's tasks so per-attempt
-attribution stays meaningful.
+**What a reply carries.**  The outcome's value (as the bytes a cache
+store made of it, when there are any: :class:`~repro.exec.task.Pickled`),
+its diagnostics, and its :class:`~repro.exec.task.WorkerTelemetry`: the
+task's own counters (so a worker dying mid-chunk loses none of the
+answered tasks' counts), its spans when traced, and the attempt's
+payload bytes, unpickle and compute times.  Chunks and replies are plain
+``pickle`` (``ForkingPickler``'s per-call reducer table is kept for the
+``run`` message), timed at both ends, chunk costs shared over its tasks.
 """
 
 from __future__ import annotations
@@ -61,12 +62,12 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import signal
 import stat
 import time
 from collections import deque
 from contextlib import contextmanager
 from multiprocessing.connection import Connection
-from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.exec.task import WorkerContext
@@ -74,6 +75,8 @@ from repro.exec.task import WorkerContext
 #: Seconds to wait for a worker to exit after a graceful shutdown message
 #: (or after a kill) before escalating.
 JOIN_TIMEOUT_S = 2.0
+
+_PROTOCOL = pickle.HIGHEST_PROTOCOL  # of chunks and replies
 
 #: The process-wide WorkerContext, installed once at worker startup (or
 #: temporarily by :func:`using_context` for parent-side inline execution).
@@ -185,8 +188,17 @@ def worker_main(
     """The worker loop: receive a chunk, stream one outcome per task.
 
     The memory ceiling is set once, for the worker's whole lifetime; a
-    run message only swaps the task function and the context.
+    run message only swaps the task function and the context.  A
+    ``fork`` worker inherits its parent's handlers; SIGTERM gets its
+    default back so ``kill -TERM`` stops it, and SIGINT (the parent's
+    Ctrl-C, which drains the pool) is ignored.
     """
+    for signum, action in ((signal.SIGTERM, signal.SIG_DFL),
+                           (signal.SIGINT, signal.SIG_IGN)):
+        try:
+            signal.signal(signum, action)
+        except (ValueError, OSError):
+            pass
     release_inherited_sockets(conn.fileno())
     _install_context(context)
     if memory_limit_mb is not None:
@@ -215,7 +227,9 @@ def worker_main(
                 t0 = time.perf_counter()
                 value = task(payload)
                 compute_s = time.perf_counter() - t0
-                _annotate(value, byte_share, unpickle_share, compute_s)
+                telemetry = getattr(value, "telemetry", None)
+                if telemetry is not None:
+                    telemetry.costs = (byte_share, unpickle_share, compute_s)
                 reply = ("ok", task_id, value)
             except MemoryError:
                 # Drop references before replying: the allocation that
@@ -225,7 +239,9 @@ def worker_main(
             except BaseException as exc:  # noqa: BLE001 -- supervised
                 reply = ("exc", task_id, type(exc).__name__, str(exc))
             try:
-                conn.send_bytes(bytes(ForkingPickler.dumps(reply)))
+                if reply[0] == "ok":  # the outcome travels as its own bytes
+                    reply = ("ok", task_id, pickle.dumps(value, _PROTOCOL))
+                conn.send_bytes(pickle.dumps(reply, _PROTOCOL))
             except (BrokenPipeError, OSError):
                 return
             except Exception as exc:  # noqa: BLE001 -- unpicklable outcome
@@ -236,18 +252,6 @@ def worker_main(
                     return
 
 
-def _annotate(value: Any, payload_bytes: int, unpickle_s: float,
-              compute_s: float) -> None:
-    """Attach this attempt's worker-side costs to the outcome's telemetry."""
-    try:
-        from repro.exec.task import annotate_worker_stats
-
-        annotate_worker_stats(value, payload_bytes=payload_bytes,
-                              unpickle_s=unpickle_s, compute_s=compute_s)
-    except Exception:  # noqa: BLE001 -- observability must never fail a task
-        pass
-
-
 class WorkerHandle:
     """Parent-side handle for one supervised worker process."""
 
@@ -255,11 +259,10 @@ class WorkerHandle:
         self,
         task: Callable[[Any], Any],
         memory_limit_mb: int | None,
-        ctx: mp.context.BaseContext | None = None,
         wid: str = "w?",
         context: WorkerContext | None = None,
     ) -> None:
-        ctx = ctx or mp.get_context()
+        ctx = mp.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=worker_main,
@@ -303,10 +306,6 @@ class WorkerHandle:
         """The task currently in flight (chunk head), or None if idle."""
         return self.chunk[0] if self.chunk else None
 
-    @property
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
     def _arm(self, now: float) -> None:
         self.started_at = now
         self.deadline_at = (
@@ -322,7 +321,7 @@ class WorkerHandle:
         in the caller's queue.
         """
         t0 = time.perf_counter()
-        buf = bytes(ForkingPickler.dumps(list(items)))
+        buf = pickle.dumps(list(items), _PROTOCOL)
         pickle_total = time.perf_counter() - t0
         n = max(1, len(items))
         self.pickle_s = pickle_total / n

@@ -5,12 +5,14 @@ runs and reaps them on ``close()``.  One held supervisor running
 different kinds of work back to back must give every run the outcomes
 the same run gets on a fresh supervisor, byte for byte; a run that finds
 idle workers forks none; a worker that ran out of memory is never kept;
-and a pool opened by a single call is joined before the call returns.
+a pool opened by a single call is joined before the call returns; and
+``kill -TERM`` stops a kept worker, whose place the next run fills.
 """
 
 import multiprocessing as mp
 import os
 import pickle
+import signal
 import socket
 
 import pytest
@@ -155,3 +157,40 @@ def test_memory_error_retires_the_worker():
     assert pids[0] != pids[1]
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
+
+
+def _noop_handler(_signum, _frame):
+    """Stands in for the handler asyncio installs in the serve daemon."""
+
+
+@pytest.mark.parametrize("inherited", ["supervisor", "noop"])
+def test_sigterm_stops_a_kept_worker_and_the_next_run_respawns(inherited):
+    # A fork worker inherits the parent's SIGTERM handler: the
+    # supervisor's flag-setter under ``handle_signals``, or a no-op one
+    # like the daemon's.  Either way ``kill -TERM`` must stop it.
+    policy = SupervisionPolicy(handle_signals=inherited == "supervisor",
+                               **_FAST)
+    fresh = _measure(Engine(), _SPECS)
+    previous = signal.getsignal(signal.SIGTERM)
+    if inherited == "noop":
+        signal.signal(signal.SIGTERM, _noop_handler)
+    try:
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.using(registry), Supervisor(2, policy) as sup:
+            engine = Engine(jobs=2, supervisor=sup)
+            assert _measure(engine, _SPECS) == fresh
+            victim, survivor = mp.active_children()
+            os.kill(victim.pid, signal.SIGTERM)
+            victim.join(10)
+            assert victim.exitcode == -signal.SIGTERM
+            assert _measure(engine, _SPECS) == fresh
+            assert survivor.is_alive()
+            assert len(mp.active_children()) == 2
+        snapshot = registry.snapshot()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    # Two forks for the first run, one to replace the victim; the
+    # survivor served the second run warm.
+    assert snapshot["histograms"]["exec.spawn_s"]["count"] == 3
+    assert snapshot["counters"]["exec.workers_reused"] == 1
+    assert mp.active_children() == []

@@ -11,9 +11,11 @@ import pickle
 import pytest
 
 from repro import obs
+from repro.cache import SynthesisCache
 from repro.core.engine import Engine
 from repro.core.workflow import ComponentSpec
-from repro.hdl.source import SourceFile
+from repro.gen import corpus_specs, generate_corpus
+from repro.hdl.source import VERILOG, VHDL, SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.faultinject import truncate_source
 
@@ -136,7 +138,11 @@ class TestWorkerTelemetry:
         "hdl.files_parsed",
         "synth.specializations",
         "elab.elaborations",
+        "hdl.tokens_lexed",
+        "flow.dfg_builds",
     )
+    #: Bumped in the workers by the cache stores of a cold batch.
+    _CACHE_COUNTERS = ("cache.misses", "cache.stores", "cache.measure_stores")
 
     def _traced_run(self, jobs):
         tracer = obs.Tracer()
@@ -177,3 +183,27 @@ class TestWorkerTelemetry:
         counters = registry.snapshot()["counters"]
         assert counters["hdl.files_parsed"] == 3.0
         assert counters["parallel.tasks"] == 3.0
+
+    def test_cached_catalog_batch_merges_every_counter(self, tmp_path):
+        specs = corpus_specs(
+            generate_corpus(VERILOG, 6, seed=3)
+            + generate_corpus(VHDL, 6, seed=4)
+        )
+        counters, histograms = {}, {}
+        for jobs in (1, 2):
+            registry = obs_metrics.MetricsRegistry()
+            with obs_metrics.using(registry):
+                Engine(
+                    cache=SynthesisCache(tmp_path / f"jobs{jobs}"), jobs=jobs
+                ).measure_components(specs)
+            snapshot = registry.snapshot()
+            counters[jobs] = snapshot["counters"]
+            histograms[jobs] = snapshot["histograms"]
+        for name in self._COUNTERS + self._CACHE_COUNTERS:
+            assert name in counters[1], name
+            assert counters[2][name] == counters[1][name], name
+        assert counters[2]["cache.measure_stores"] == len(specs)
+        # One worker-compute observation per completed task.
+        completed = counters[2]["exec.completed"]
+        assert completed == len(specs)
+        assert histograms[2]["exec.worker_compute_s"]["count"] == completed
