@@ -5,9 +5,9 @@ the run exercises every rule without tripping any) and record into
 BENCH_obs.json:
 
 * ``lint.throughput_components_per_s`` -- modules audited per wall second
-  under ``jobs=4``.  Correctness of the run is asserted (no errors, no
-  findings beyond genuine random-draw ACC001 collisions); speed is the
-  series.
+  (lint runs inline at any ``jobs``).  Correctness of the run is
+  asserted (no errors, no findings beyond genuine random-draw ACC001
+  collisions); speed is the series.
 * ``lint.warm_ms`` -- process CPU milliseconds of a warm run through the
   whole-run lint memo (best of :data:`REPEATS`).  The warm report must
   equal the cold one and no file may be parsed.
@@ -24,7 +24,6 @@ from repro.lint import lint_sources
 from repro.obs import metrics as obs_metrics
 
 COMPONENTS = 200
-JOBS = 4
 REPEATS = 5
 
 
@@ -41,30 +40,30 @@ def sources():
 
 def test_lint_throughput(bench_series, report, sources):
     t0 = time.perf_counter()
-    pooled = lint_sources(sources, jobs=JOBS)
-    t_par = time.perf_counter() - t0
+    audit = lint_sources(sources)
+    elapsed = time.perf_counter() - t0
 
     # 200 random draws from a finite tile pool can produce genuinely
     # isomorphic modules (a correct ACC001); anything else is a lint bug.
-    assert not pooled.errors, [e.message for e in pooled.errors]
-    assert all(f.rule == "ACC001" for f in pooled.findings), [
-        str(f) for f in pooled.findings
+    assert not audit.errors, [e.message for e in audit.errors]
+    assert all(f.rule == "ACC001" for f in audit.findings), [
+        str(f) for f in audit.findings
     ]
-    audited = pooled.modules
+    audited = audit.modules
     assert audited >= COMPONENTS
 
-    throughput = audited / t_par if t_par > 0 else 0.0
+    throughput = audited / elapsed if elapsed > 0 else 0.0
     bench_series("lint.throughput_components_per_s", throughput)
     report(
         "lint throughput",
-        f"{audited} modules in {t_par:.2f}s under jobs={JOBS} "
+        f"{audited} modules in {elapsed:.2f}s "
         f"-> {throughput:.1f} components/s",
     )
 
 
 def test_lint_warm(bench_series, report, sources, tmp_path):
     cache = SynthesisCache(tmp_path / "cache")
-    cold = lint_sources(sources, jobs=JOBS, cache=cache)
+    cold = lint_sources(sources, cache=cache)
     assert not cold.errors, [e.message for e in cold.errors]
     assert len(cache.lint_entries()) == 1
 
@@ -72,7 +71,7 @@ def test_lint_warm(bench_series, report, sources, tmp_path):
     for _ in range(REPEATS):
         with obs_metrics.using(obs_metrics.MetricsRegistry()):
             t0 = time.process_time()
-            warm = lint_sources(sources, jobs=JOBS, cache=cache)
+            warm = lint_sources(sources, cache=cache)
             cpu = time.process_time() - t0
             parsed = obs_metrics.counter("hdl.files_parsed").value
         assert parsed == 0

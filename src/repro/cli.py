@@ -40,10 +40,10 @@ every subcommand maps its outcome onto three exit codes --
 
 ``--strict`` turns any degradation into a failure (exit 2) and
 ``--keep-going`` quarantines malformed dataset rows instead of aborting.
-Parallel runs (``--jobs N``) execute under the supervised pool of
-:mod:`repro.exec`: per-task deadlines (``--deadline``), per-worker memory
-ceilings (``--worker-mem-mb``), bounded retries, and poison-task
-quarantine.
+Parallel runs (``--jobs N``, one component per task) execute under the
+supervised pool of :mod:`repro.exec`: per-task deadlines
+(``--deadline``), per-worker memory ceilings (``--worker-mem-mb``),
+bounded retries, and poison-task quarantine.
 """
 
 from __future__ import annotations
@@ -648,8 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="measure components/specializations across N worker processes "
-             "(default 1: sequential); results are identical either way",
+        help="measure components across N worker processes, one component "
+             "per task (measure --catalog, report, evaluate, selftest, "
+             "serve; default 1: sequential); 'measure FILES' and 'lint' "
+             "run inline at any N; results are identical either way",
     )
     common.add_argument(
         "--cache-dir", metavar="DIR",

@@ -7,7 +7,7 @@
 * the :class:`~repro.exec.SupervisionPolicy` governing the worker pool,
 * the pool width (``jobs``),
 * optionally, an open :class:`~repro.exec.Supervisor` whose workers
-  every pool run of the engine reuses (the serve daemon holds one),
+  every batch pool run of the engine reuses (the serve daemon holds one),
 
 -- and exposes the pipeline entry points :meth:`measure_component` /
 :meth:`measure_component_safe` / :meth:`measure_components` /
@@ -43,12 +43,7 @@ from repro.core.workflow import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.diagnostics import (
-    Diagnostic,
-    Result,
-    Severity,
-    render_report,
-)
+from repro.runtime.diagnostics import Diagnostic, Result, Severity
 from repro.runtime.stages import STAGE_HINTS, StageBoundary
 
 if TYPE_CHECKING:
@@ -152,11 +147,11 @@ def synthesize_specialization(
 ) -> tuple[SynthesisReport | None, tuple[Diagnostic, ...]]:
     """Elaborate and synthesize one specialization under its own boundary.
 
-    The unit of work of the specialization loop, inline or in a pool
-    worker: the report (``None`` when it failed) plus the diagnostics the
-    failure left.  ``strict`` raises the failure instead.  A report is
-    stored in ``cache`` under ``key`` as soon as it exists, so a run
-    killed later still leaves it for the next run to hit.
+    The unit of work of the specialization loop: the report (``None``
+    when it failed) plus the diagnostics the failure left.  ``strict``
+    raises the failure instead.  A report is stored in ``cache`` under
+    ``key`` as soon as it exists, so a run killed later still leaves it
+    for the next run to hit.
     """
     from repro.elab.elaborator import elaborate
     from repro.synth.lower import synthesize_module
@@ -196,14 +191,16 @@ class Engine:
         cache: content-addressed synthesis cache (:mod:`repro.cache`);
             also provides the whole-component measurement memo probed
             before any work is dispatched.
-        jobs: worker-pool width (1 = inline sequential execution).
+        jobs: worker-pool width for batch measurement, one component
+            per task (1 = inline sequential execution).  A single
+            component's specializations and a lint run always run
+            inline.
         supervision: pool supervision policy (:mod:`repro.exec`);
             ``None`` uses the defaults.
         supervisor: an open supervisor, held and closed by the caller,
-            that every pool run of this engine (batch measure,
-            specialization sweep, lint) runs on, so its workers stay warm
-            between runs.  ``None``: each pool run opens its own and joins
-            its workers before returning.
+            that every batch pool run of this engine runs on, so its
+            workers stay warm between batches.  ``None``: each pool run
+            opens its own and joins its workers before returning.
     """
 
     def __init__(
@@ -258,18 +255,18 @@ class Engine:
           is intact, a full synthesis measurement;
         * an **elaboration** failure keeps the software metrics (LoC/Stmts)
           as a partial result and skips synthesis;
-        * a specialization that fails **synthesis lowering**, or whose pool
-          task the supervisor quarantines, is left out -- the compounded
-          index aggregates the remaining specializations.
+        * a specialization that fails **synthesis lowering** is left
+          out -- the compounded index aggregates the remaining
+          specializations.
 
         The returned :class:`Result` is ok (clean), degraded (value + ERROR
         diagnostics), or failed (no parseable input at all).  ``strict``
-        raises the first failure instead, including a supervisor
-        quarantine (as a ``RuntimeError`` carrying its report).  A corrupt
-        cache entry degrades to a recompute plus a WARNING diagnostic.
-        ``lint=True`` audits the parsed catalog against the ACC accounting
-        rules first (:mod:`repro.lint`); violations become WARNING
-        diagnostics.
+        raises the first failure instead.  The specializations run
+        inline at any ``jobs``: one component is the pool's unit of work
+        (:meth:`measure_components`).  A corrupt cache entry degrades to
+        a recompute plus a WARNING diagnostic.  ``lint=True`` audits the
+        parsed catalog against the ACC accounting rules first
+        (:mod:`repro.lint`); violations become WARNING diagnostics.
         """
         label = name or top
         with obs_trace.span("measure.component_safe", component=label):
@@ -364,53 +361,18 @@ class Engine:
             )
 
         # Compute each distinct cache-missed specialization once, capturing
-        # its failure diagnostics on a scratch boundary so they can be
-        # replayed at every occurrence below (matching the sequential
-        # recompute-per-occurrence behavior exactly).
+        # its failure diagnostics so they can be replayed at every
+        # occurrence below (matching recompute-per-occurrence exactly).
         failed: dict[SpecKey, tuple[Diagnostic, ...]] = {}
-        if self.jobs > 1 and len(to_compute) > 1:
-            from repro.exec.pool import run_pool
-
-            work = tuple((m, p) for _, m, p in to_compute)
-            outcomes = run_pool(
-                _synthesize_step,
-                {"design": design, "work": work, "label": label,
-                 "strict": strict, "cache": self.cache,
-                 "keys": tuple(cache_keys.get(k) for k, _, _ in to_compute)},
-                [f"{label}:{m}" for m, _ in work],
-                kind="s", jobs=self.jobs, supervision=self.supervision,
-                supervisor=self.supervisor,
+        for key, module_name, params in to_compute:
+            report, diagnostics = synthesize_specialization(
+                design, module_name, params, label, strict,
+                self.cache, cache_keys.get(key),
             )
-            for (key, _m, _p), outcome in zip(to_compute, outcomes):
-                if outcome.error is not None:
-                    boundary.diagnostics.extend(outcome.diagnostics)
-                    raise outcome.error  # strict mode: fail fast, as inline does
-                if outcome.value is not None:
-                    reports[key] = outcome.value
-                    # Surface execution-layer advisories (pool fallback
-                    # notes) without disturbing the task's own clean
-                    # diagnostics.
-                    boundary.diagnostics.extend(
-                        d for d in outcome.diagnostics if d.stage == "exec"
-                    )
-                elif strict:
-                    # Supervisor quarantine: no exception object to re-raise.
-                    raise RuntimeError(
-                        "task quarantined by the supervisor:\n"
-                        + render_report(list(outcome.diagnostics))
-                    )
-                else:
-                    failed[key] = outcome.diagnostics
-        else:
-            for key, module_name, params in to_compute:
-                report, diagnostics = synthesize_specialization(
-                    design, module_name, params, label, strict,
-                    self.cache, cache_keys.get(key),
-                )
-                if report is None:
-                    failed[key] = diagnostics
-                else:
-                    reports[key] = report
+            if report is None:
+                failed[key] = diagnostics
+            else:
+                reports[key] = report
 
         per_spec: list[SynthesisReport] = []
         quarantined: list[tuple[str, Mapping[str, int]]] = []
@@ -561,7 +523,7 @@ class Engine:
                 {"specs": specs, "keys": tuple(key for _, key in misses),
                  "strict": strict, "lint": lint, "cache": self.cache},
                 [spec.name for spec in specs],
-                kind="b", jobs=self.jobs, supervision=self.supervision,
+                jobs=self.jobs, supervision=self.supervision,
                 supervisor=self.supervisor,
             )
         for outcome in outcomes:
@@ -617,14 +579,14 @@ class Engine:
         sources: Sequence[SourceFile],
         config: "LintConfig | None" = None,
     ) -> "LintReport":
-        """Audit HDL sources against the accounting/hygiene rules."""
+        """Audit HDL sources against the accounting/hygiene rules.
+
+        Runs inline at any ``jobs``: a whole lint run costs about what
+        one pool dispatch does.
+        """
         from repro.lint import lint_sources
 
-        return lint_sources(
-            list(sources), config, jobs=self.jobs,
-            supervision=self.supervision, cache=self.cache,
-            supervisor=self.supervisor,
-        )
+        return lint_sources(list(sources), config, cache=self.cache)
 
     # -- estimator fits --------------------------------------------------------
 
@@ -689,14 +651,3 @@ def _measure_step(
         inputs["strict"], inputs["lint"],
     )
     return Pickled(result, blob), ()
-
-
-def _synthesize_step(
-    inputs: "WorkerContext", index: int
-) -> tuple[SynthesisReport | None, tuple[Diagnostic, ...]]:
-    """Worker side of the specialization sweep: synthesize item ``index``."""
-    module, params = inputs["work"][index]
-    return synthesize_specialization(
-        inputs["design"], module, params, inputs["label"], inputs["strict"],
-        inputs["cache"], inputs["keys"][index],
-    )

@@ -4,9 +4,10 @@ Every parallel batch runs under a :class:`Supervisor` that enforces
 per-task deadlines, kills and respawns hung workers, retries transient
 failures with exponential backoff + jitter, quarantines poison tasks as
 structured diagnostics, and applies optional per-worker memory ceilings.
-:func:`~repro.exec.pool.run_pool` is the one driver the pipeline calls:
-it delivers a run's inputs in the :class:`WorkerContext`, sends each task
-only its index, and merges worker telemetry on join.
+:func:`~repro.exec.pool.run_pool` is the one driver the pipeline calls,
+from batch measurement only (one task per component): it delivers a
+run's inputs in the :class:`WorkerContext`, sends each task only its
+index, and merges worker telemetry on join.
 
 The package knows nothing about persistence.  The pipeline's steps store
 each product in the content-addressed cache (:mod:`repro.cache`) in the
@@ -14,9 +15,8 @@ process that computes it, so the cache is the only record of finished
 work and an interrupted run resumes by hitting it.
 
 Layering: this package depends only on :mod:`repro.obs` and
-:mod:`repro.runtime`; the measurement and lint steps live
-with the code they serve (:mod:`repro.core.engine`,
-:mod:`repro.lint.engine`) and travel to workers by reference.  See
+:mod:`repro.runtime`; the batch measurement step lives with the code it
+serves (:mod:`repro.core.engine`) and travels to workers by reference.  See
 DESIGN.md section 11 for the supervision model.
 """
 

@@ -1,12 +1,13 @@
-"""The one pool driver: how a batch of pipeline tasks reaches the workers.
+"""The one pool driver: how a batch of components reaches the workers.
 
-Batch measurement is embarrassingly parallel at two grains (components
-within a batch, specializations within a component), and lint is
-parallel per module.  All three fan out through :func:`run_pool`, which
-keeps the sequential contracts bit for bit:
+The pool has one grain, the component: batch measurement
+(:meth:`~repro.core.engine.Engine.measure_components`) is its only
+caller, one task per component.  A component's specialization sweep and
+a lint run cost about what one dispatch does, so they run inline.
+:func:`run_pool` keeps the sequential contracts bit for bit:
 
-* **Inputs ride in the context.**  The run's inputs (the spec tuple, or
-  the design plus its work list) go into the
+* **Inputs ride in the context.**  The run's inputs (the spec tuple,
+  memo keys and flags) go into the
   :class:`~repro.exec.task.WorkerContext`, which reaches each worker
   once: inherited under ``fork``, pickled once per worker under
   ``spawn``/``forkserver``.  A task's payload is only its index.
@@ -67,7 +68,6 @@ def run_pool(
     inputs: Mapping[str, Any],
     labels: Sequence[str],
     *,
-    kind: str,
     jobs: int,
     supervision: SupervisionPolicy | None = None,
     supervisor: Supervisor | None = None,
@@ -76,11 +76,10 @@ def run_pool(
 
     ``step`` must be a module-level function (it travels by reference in
     the context); ``inputs`` are the run's shared inputs, read back by
-    the step.  ``kind`` prefixes the run's telemetry namespace.
-    ``supervisor`` is an open supervisor the caller holds (``jobs`` and
-    ``supervision`` are then its own); without one, the run opens a
-    supervisor from ``jobs`` and ``supervision`` and closes it, so no
-    worker outlives the call.
+    the step.  ``supervisor`` is an open supervisor the caller holds
+    (``jobs`` and ``supervision`` are then its own); without one, the run
+    opens a supervisor from ``jobs`` and ``supervision`` and closes it,
+    so no worker outlives the call.
 
     Outcomes line up with ``labels``.  Worker telemetry is already merged,
     and span ids in the outcome's diagnostics -- and in a :class:`Result`
@@ -90,7 +89,7 @@ def run_pool(
     ``error``.
     """
     load_pipeline()  # before the fork, so no worker imports the stages
-    run_ns = f"{kind}{next(_NAMESPACE_COUNTER)}"
+    run_ns = f"b{next(_NAMESPACE_COUNTER)}"
     context = WorkerContext(values={
         **inputs,
         "step": step,

@@ -1,4 +1,4 @@
-"""The unit-of-work vocabulary shared by every pool execution strategy.
+"""The unit-of-work vocabulary of the supervised pool and its driver.
 
 A *task* is one picklable callable applied to one picklable payload inside
 a worker process.  Task functions follow a no-raise contract: whatever
@@ -42,9 +42,11 @@ class WorkerContext:
     run, in one pickled run message; task functions read it back via
     :func:`repro.exec.workers.worker_context`.
 
-    ``values`` is an immutable mapping of whatever the task family needs
-    (e.g. the run's specs or design, strict/lint flags, the run's trace
-    namespace).
+    ``values`` is an immutable mapping of what the run's tasks need: for
+    the pipeline's one pool run (batch measurement) the spec tuple, their
+    memo keys, the strict/lint flags and the cache handle, plus the
+    driver's step function, trace namespace and trace-capture flag
+    (:func:`repro.exec.pool.run_pool`).
     """
 
     values: Mapping[str, Any] = field(default_factory=dict)

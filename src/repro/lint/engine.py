@@ -4,11 +4,10 @@ Layering (bottom up):
 
 * :func:`lint_module` -- all module-scope rules over one module of a
   design, plus its :func:`~repro.lint.hashing.structural_hash`; returns a
-  picklable :class:`ModuleLintResult` (the parallel unit of work).
-* :func:`lint_design` -- every module of an already-parsed design, fanned
-  out over the supervised pool (:func:`repro.exec.pool.run_pool`) when
-  ``jobs > 1``,
-  then the catalog-scope duplicate check (ACC001) over the collected
+  picklable :class:`ModuleLintResult` (what the lint memo stores).
+* :func:`lint_design` -- every module of an already-parsed design, in
+  order and inline (a whole run costs about what one pool dispatch
+  does), then the catalog-scope duplicate check (ACC001) over the collected
   hashes.  Severity overrides and baseline suppressions from the
   :class:`~repro.lint.config.LintConfig` are applied here.
 * :func:`lint_sources` -- probe the whole-run lint memo, and on a miss
@@ -44,14 +43,13 @@ from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
 
 if TYPE_CHECKING:
     from repro.cache import SynthesisCache
-    from repro.exec import SupervisionPolicy, Supervisor, WorkerContext
     from repro.flow.dfg import DataflowGraph
     from repro.hdl import ast
 
 
 @dataclass(frozen=True)
 class ModuleLintResult:
-    """One module's lint outcome (picklable; produced by pool workers)."""
+    """One module's lint outcome (picklable; the lint memo stores them)."""
 
     module: str
     file: str
@@ -249,90 +247,25 @@ def _assemble(
 def lint_design(
     design: ast.Design,
     config: LintConfig | None = None,
-    jobs: int = 1,
-    supervision: SupervisionPolicy | None = None,
 ) -> LintReport:
-    """Audit an already-parsed design (all modules + catalog rules).
-
-    ``supervision`` configures the ``jobs > 1`` worker pool (a
-    :class:`repro.exec.SupervisionPolicy`; ``None`` uses the defaults); a
-    module whose task is quarantined by the supervisor surfaces as a lint
-    *error* rather than crashing the audit.
-    """
+    """Audit an already-parsed design (all modules + catalog rules)."""
     config = config or LintConfig()
-    results = _lint_modules(design, config, jobs, supervision)
-    return _assemble(results, (), config, 0)
+    return _assemble(_lint_modules(design, config), (), config, 0)
 
 
 def _lint_modules(
-    design: ast.Design,
-    config: LintConfig,
-    jobs: int,
-    supervision: SupervisionPolicy | None,
-    supervisor: Supervisor | None = None,
+    design: ast.Design, config: LintConfig
 ) -> list[ModuleLintResult]:
     """:func:`lint_module` over every module of ``design``, in order."""
     names = list(design.modules)
-    with obs_trace.span("lint.design", modules=len(names), jobs=jobs):
-        if jobs > 1 and len(names) > 1:
-            return _lint_in_pool(design, names, config, jobs, supervision,
-                                 supervisor)
+    with obs_trace.span("lint.design", modules=len(names)):
         return [lint_module(design, n, config) for n in names]
-
-
-def _lint_in_pool(
-    design: ast.Design,
-    names: Sequence[str],
-    config: LintConfig,
-    jobs: int,
-    supervision: SupervisionPolicy | None,
-    supervisor: Supervisor | None,
-) -> list[ModuleLintResult]:
-    """The pool path of :func:`_lint_modules`: one task per module.
-
-    A module whose task the supervisor quarantines comes back with the
-    supervisor's diagnostic in its ``errors`` (the report's exit code
-    already maps errors to 2).  :func:`lint_module` quarantines rule
-    crashes itself, so an exception that escapes a worker is an engine
-    bug and is raised.
-    """
-    from repro.exec.pool import run_pool
-
-    names = tuple(names)
-    with obs_trace.span("lint.batch", modules=len(names), jobs=jobs):
-        outcomes = run_pool(
-            _lint_step, {"design": design, "names": names, "config": config},
-            names, kind="l", jobs=jobs, supervision=supervision,
-            supervisor=supervisor,
-        )
-    results: list[ModuleLintResult] = []
-    for name, outcome in zip(names, outcomes):
-        if outcome.error is not None:
-            raise outcome.error
-        results.append(
-            outcome.value if outcome.value is not None
-            else ModuleLintResult(module=name, file="", hash="", findings=(),
-                                  errors=outcome.diagnostics)
-        )
-    return results
-
-
-def _lint_step(
-    inputs: WorkerContext, index: int
-) -> tuple[ModuleLintResult, tuple[()]]:
-    """Worker side of :func:`_lint_in_pool`: lint module ``index``."""
-    return lint_module(
-        inputs["design"], inputs["names"][index], inputs["config"]
-    ), ()
 
 
 def lint_sources(
     sources: Sequence[SourceFile],
     config: LintConfig | None = None,
-    jobs: int = 1,
-    supervision: SupervisionPolicy | None = None,
     cache: SynthesisCache | None = None,
-    supervisor: Supervisor | None = None,
 ) -> LintReport:
     """Parse + merge ``sources``, then audit the resulting catalog.
 
@@ -344,12 +277,10 @@ def lint_sources(
     names and texts and the enabled-rule set and probed before anything
     is parsed: a hit re-runs only the catalog-scope assembly (ACC001,
     severity overrides, baseline suppression -- none of them in the key).
-    Only a run without any error is stored.  ``supervisor`` is an open
-    :class:`repro.exec.Supervisor` the ``jobs > 1`` pool runs on (``None``:
-    the run opens and joins its own).
+    Only a run without any error is stored.
     """
     config = config or LintConfig()
-    with obs_trace.span("lint.run", files=len(sources), jobs=jobs) as run:
+    with obs_trace.span("lint.run", files=len(sources)) as run:
         key = ""
         if cache is not None:
             key = cache.lint_key(
@@ -386,8 +317,7 @@ def lint_sources(
                              "or rename one",
                     )
                 )
-        results = _lint_modules(design, config, jobs, supervision,
-                                supervisor)
+        results = _lint_modules(design, config)
         if cache is not None and not errors:
             # The namespace refuses a tuple holding any module error.
             cache.store_lint(key, tuple(results))

@@ -53,7 +53,7 @@ STAGE_HINTS: dict[str, str] = {
 }
 
 
-#: The modules a measure or lint task runs, parse through lint rules.
+#: The modules a measure task runs, parse through the rules of its lint audit.
 PIPELINE_MODULES = (
     "repro.hdl.verilog",
     "repro.hdl.vhdl",

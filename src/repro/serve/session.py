@@ -18,7 +18,8 @@ pile up in the queue and are dispatched as one
 
 The dispatcher holds that pool for its lifetime: it opens a
 :class:`~repro.exec.Supervisor` on the engine at the first batch that
-may use the pool (not at start-up, so an idle daemon forks nothing),
+holds a ``/measure`` request (not at start-up, so an idle daemon forks
+nothing; ``/lint`` and ``/estimate`` run inline in the dispatcher),
 every later batch reuses its idle workers instead of forking, and the
 dispatcher closes it -- shutting down and reaping up to ``jobs`` idle
 workers -- on its way out of :meth:`ServeSession.stop`.
@@ -58,8 +59,8 @@ if TYPE_CHECKING:
 
 _STOP = object()
 
-#: Endpoints whose work can go through the worker pool.
-_POOLED = frozenset({"measure", "lint"})
+#: Endpoints whose work goes through the worker pool.
+_POOLED = frozenset({"measure"})
 
 
 @dataclass

@@ -46,23 +46,6 @@ _MUX = SourceFile(
 )
 
 
-#: Two specializations, so ``jobs > 1`` synthesizes them in the pool.
-_HIER = SourceFile(
-    "hier.v",
-    """
-    module leaf(input [3:0] a, output [3:0] y);
-      assign y = ~a;
-    endmodule
-
-    module top_adder(input [3:0] a, b, output [3:0] s);
-      wire [3:0] na;
-      leaf u0 (.a(a), .y(na));
-      assign s = na + b;
-    endmodule
-    """,
-)
-
-
 def _specs():
     return [
         ComponentSpec("adder", (_ADDER,), "top_adder"),
@@ -210,21 +193,24 @@ class TestStrictQuarantine:
         assert key == expected
 
     @pytest.mark.chaos
-    def test_strict_raises_on_supervisor_quarantine(self):
+    def test_supervisor_quarantine_fails_the_component(self):
+        # The pool's unit of work is a whole component: one whose task
+        # keeps killing its worker comes back as a failed Result with the
+        # stage-"exec" diagnostic, strict or not, and the rest measure.
         policy = SupervisionPolicy(
-            poll_interval_s=0.05, chaos={"adder:leaf": ("kill",)},
+            poll_interval_s=0.05, chaos={"adder": ("kill",)},
         )
         engine = Engine(jobs=2, supervision=policy)
-        degraded = engine.measure_component_safe(
-            [_HIER], "top_adder", name="adder"
-        )
-        assert degraded.degraded
-        assert "exec" in {d.stage for d in degraded.diagnostics}
-        with pytest.raises(
-            RuntimeError, match="task quarantined by the supervisor"
-        ):
-            engine.measure_component_safe(
-                [_HIER], "top_adder", name="adder", strict=True
+        specs = _specs()[:2]
+        for strict in (False, True):
+            batch = engine.measure_components(specs, strict=strict)
+            quarantined = batch.results["adder"]
+            assert quarantined.failed
+            assert [d.stage for d in quarantined.diagnostics] == ["exec"]
+            assert "quarantined" in quarantined.diagnostics[0].message
+            inline = Engine().measure_components(specs[1:], strict=strict)
+            assert pickle.dumps(batch.results["mux"]) == pickle.dumps(
+                inline.results["mux"]
             )
 
 

@@ -2,15 +2,15 @@
 
 The sha256 of ``pickle.dumps(measurement, protocol=4)`` for each of the 18
 bundled Table 2 components, measured strictly (``Engine.measure_component``,
-no cache) inline (``jobs=1``) and through the supervised specialization
-pool (``jobs=2``).  The values were recorded through the former raising
-pipeline before it was folded into the fault-tolerant one, so they are the
+no cache).  The values were recorded through the former raising pipeline
+before it was folded into the fault-tolerant one, so they are the
 reference that keeps that merge honest.
 
-Inline and pool pickles of one component are pinned separately and never
-compared with each other: every per-specialization report pickles equal on
-both paths, but a whole pool measurement holds separate (unpickled) copies
-where the inline one shares references, so the two byte streams differ.
+One component's specializations run inline at any pool width (the pool's
+unit of work is a whole component), so an ``Engine(jobs=2)`` measurement
+must give the very bytes pinned for ``jobs=1``: nothing is dispatched,
+so nothing is unpickled into separate copies where the inline result
+shares references.
 
 A changed hash means measurement changed; bump ``repro.cache.SALT`` with
 the new hashes.  The pins were recorded on CPython 3.11 with numpy 2.4
@@ -28,7 +28,7 @@ from repro.core.engine import Engine
 from repro.designs.catalog import component_specs
 from repro.designs.loader import load_sources
 
-#: ``jobs=1``: sha256 of the pickled strict inline measurement.
+#: sha256 of the pickled strict measurement, at any ``jobs``.
 INLINE = {
     "IVM-Decode": "4ca2d0256c4f2800cb351acc23464db5e4a66bc2165053e162ed8ce606df9931",
     "IVM-Execute": "3188c576d5be714dced10e1a8dea5d803ee3d213dfc0b0b0881cc365553c7eee",
@@ -50,28 +50,6 @@ INLINE = {
     "RAT-Standard": "e78587e61ffe6e5ae9953b90d212e43dc098b35aea3320067866b8a391e9fb83",
 }
 
-#: ``jobs=2``: sha256 of the pickled strict pool measurement.
-POOL = {
-    "IVM-Decode": "efb02fa5c884e789c9ca114dfb5572360c4b112ed944ee76906e0a9b0cde5353",
-    "IVM-Execute": "c6bb7487f7bc919a877a313abbf51e1fa0dc4adfb6a88e1bb3419da2b31d79fd",
-    "IVM-Fetch": "851cfe94c71c6fb6707385204235c87088f95eee7e286170df0f96b56bef15ad",
-    "IVM-Issue": "31ea5259e400713b1a83856e968d41d77f861630af1b46d19c073eb5eebb46b6",
-    "IVM-Memory": "a547bf12e8270a6cd6c47965782765dcac3dceb7bfe4611047a720d6916aec2c",
-    "IVM-Rename": "ee2ec5369c377cbcdac0d6f6edda800f6588a0e06c0f8021a37321c7e8b105bc",
-    "IVM-Retire": "fc1e11f387ab4c1804ff66912a548cf7a9d8a6c56e12a8fa52454816b85952db",
-    "Leon3-Cache": "ff2051cd1422d7fc8e2be22ba6957505e2d5106540caba60f0b33c224f07bd3e",
-    "Leon3-MMU": "94092786f6933e6b50deddf81d08f3c76cd129d6873dcfb7540efe0bef476f30",
-    "Leon3-MemCtrl": "ae8c661376bf93c450587f5b89a20ce193911bf5d87030a94de4fbe220e41cd7",
-    "Leon3-Pipeline": "a942f13dbaa02c4858dd86f226c8412eb848532444a1294269065c3c621d3710",
-    "PUMA-Decode": "49efe6c19d760680ba416482c96d8e7500cb4dbb2a7b53e7aeb1376757fbc56d",
-    "PUMA-Execute": "c2f1fec971d6dc3be3f3a86e543bff89f7a274c663c314bc12372f59b9d41c5e",
-    "PUMA-Fetch": "c6679df1de146b0f531c0b9558ecae49878b33a8f8893d0695eeeb278fe00636",
-    "PUMA-Memory": "2b53efc9e2d11e006cfd02c3ea106305ddaabfb2f6f453a60a063341b26d77be",
-    "PUMA-ROB": "db1f82480af481269e1a60667832cce09cb6239bc8c6cae337f43b9e553b34df",
-    "RAT-Sliding": "50295c712976c30016fde52466f35b37dbc76b96dedd0396baab94eb4481c261",
-    "RAT-Standard": "0b43ed12fed35cd3e939db4f0129e77151671fa9e1573416bbd2f913855b58b0",
-}
-
 _SPECS = {spec.label: spec for spec in component_specs()}
 
 
@@ -87,7 +65,7 @@ def _measure(label: str, jobs: int):
 
 
 def test_every_bundled_component_is_pinned():
-    assert set(_SPECS) == set(INLINE) == set(POOL)
+    assert set(_SPECS) == set(INLINE)
 
 
 @pytest.mark.parametrize("label", sorted(INLINE))
@@ -95,6 +73,7 @@ def test_inline_measurement_is_byte_identical(label):
     assert digest(_measure(label, jobs=1)) == INLINE[label]
 
 
-@pytest.mark.parametrize("label", sorted(POOL))
+@pytest.mark.parametrize("label", sorted(INLINE))
 def test_pool_measurement_is_byte_identical(label):
-    assert digest(_measure(label, jobs=2)) == POOL[label]
+    # A pool-width engine measures one component inline: the inline pin.
+    assert digest(_measure(label, jobs=2)) == INLINE[label]

@@ -18,17 +18,19 @@ import socket
 import pytest
 
 from repro.core.engine import Engine
-from repro.exec import SupervisionPolicy, Supervisor, TaskOutcome
+from repro.exec import SupervisionPolicy, Supervisor, TaskOutcome, run_pool
 from repro.gen import corpus_specs, generate_corpus
+from repro.hdl import ast, parse_source
 from repro.hdl.source import VERILOG, VHDL
+from repro.lint import LintConfig, lint_module
 from repro.obs import metrics as obs_metrics
 
 pytestmark = pytest.mark.par
 
 _FAST = dict(backoff_base_s=0.01, backoff_cap_s=0.05, poll_interval_s=0.05)
 
-#: The plan names only the kill run's victim, so the measure and lint
-#: runs on the same supervisor stay healthy.
+#: The plan names only the kill run's victim, so the other runs on the
+#: same supervisor stay healthy.
 _POLICY = SupervisionPolicy(chaos={"victim": ("kill",)}, **_FAST)
 
 _SPECS = corpus_specs(
@@ -51,13 +53,24 @@ def _measure(engine, specs):
     return [pickle.dumps(result) for result in results.values()]
 
 
-def _lint(engine):
-    report = engine.lint([s for spec in _SPECS for s in spec.sources])
-    return [
-        pickle.dumps(part)
-        for part in (*report.findings, *report.suppressed, *report.errors,
-                     report.modules, report.files)
-    ]
+def _lint_step(inputs, index):
+    return lint_module(inputs["design"], inputs["names"][index],
+                       inputs["config"]), ()
+
+
+def _module_run(engine):
+    # Another pooled kind of work: a different step and context (one
+    # task per module of a parsed design) on the same supervisor.
+    design = ast.Design()
+    for spec in _SPECS:
+        for source in spec.sources:
+            design = design.merge(parse_source(source))
+    names = tuple(design.modules)
+    outcomes = run_pool(
+        _lint_step, {"design": design, "names": names, "config": LintConfig()},
+        names, jobs=engine.jobs, supervisor=engine.supervisor,
+    )
+    return [pickle.dumps((o.value, o.error, o.diagnostics)) for o in outcomes]
 
 
 def _kill_run(supervisor):
@@ -69,7 +82,7 @@ def _kill_run(supervisor):
 
 _RUNS = (
     lambda engine, sup: _measure(engine, _SPECS),
-    lambda engine, sup: _lint(engine),
+    lambda engine, sup: _module_run(engine),
     lambda engine, sup: _kill_run(sup),
     lambda engine, sup: _measure(engine, _MORE),
 )

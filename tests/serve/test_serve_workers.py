@@ -1,9 +1,10 @@
 """The serve dispatcher's kept pool (``pytest -m serve``).
 
-The dispatcher opens one supervisor at its first pooled batch and keeps
-its idle workers warm between requests; :meth:`ServeSession.stop` must
-leave no worker behind, on the clean path and on the forced-interrupt
-path alike.
+The dispatcher opens one supervisor at its first batch holding a
+``/measure`` request and keeps its idle workers warm between requests;
+``/lint`` runs inline and never opens one.  :meth:`ServeSession.stop`
+must leave no worker behind, on the clean path and on the
+forced-interrupt path alike.
 """
 
 import multiprocessing as mp
@@ -24,6 +25,14 @@ _ADDER = (
     "module top_adder #(parameter W = 8)(input [W-1:0] a, b,\n"
     "                                    output [W-1:0] s);\n"
     "  assign s = a + b;\n"
+    "endmodule\n"
+)
+
+
+_MUX = (
+    "module top_mux #(parameter W = 4)(input sel, input [W-1:0] a, b,\n"
+    "                                  output [W-1:0] y);\n"
+    "  assign y = sel ? a : b;\n"
     "endmodule\n"
 )
 
@@ -50,6 +59,28 @@ def test_idle_daemon_forks_nothing_and_stop_reaps_the_warm_pool():
         assert session.stop()
     assert mp.active_children() == []
     assert session.engine.supervisor is None
+
+
+def test_lint_forks_no_worker():
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.using(registry):
+        session = ServeSession(Engine(jobs=2))
+        session.start()
+        try:
+            _rid, future = session.submit("lint", {"files": [
+                {"name": "adder.v", "text": _ADDER},
+                {"name": "mux.v", "text": _MUX},
+            ]})
+            status, payload = future.result(timeout=120)
+            assert status < 500, payload
+            assert payload["modules"] == 2
+            assert session.engine.supervisor is None
+            assert mp.active_children() == []
+        finally:
+            assert session.stop()
+    spawns = registry.snapshot()["histograms"].get("exec.spawn_s", {})
+    assert spawns.get("count", 0) == 0
+    assert mp.active_children() == []
 
 
 def test_forced_stop_interrupts_the_run_and_reaps_its_workers():

@@ -6,6 +6,7 @@ diagnostics, quarantine decisions -- as the sequential loop, and a traced
 parallel run must lose none of the counters the workers bump.
 """
 
+import multiprocessing as mp
 import pickle
 
 import pytest
@@ -14,7 +15,9 @@ from repro import obs
 from repro.cache import SynthesisCache
 from repro.core.engine import Engine
 from repro.core.workflow import ComponentSpec
-from repro.gen import corpus_specs, generate_corpus
+from repro.designs.catalog import component_specs
+from repro.designs.loader import load_sources
+from repro.gen import clean_kinds, corpus_specs, generate_corpus, violation_corpus
 from repro.hdl.source import VERILOG, VHDL, SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.faultinject import truncate_source
@@ -126,10 +129,37 @@ class TestEquivalence:
         assert par_exc.value.line == seq_exc.value.line
         assert par_exc.value.hint == seq_exc.value.hint
 
-    def test_per_spec_parallelism_matches_sequential(self):
-        sequential = Engine().measure_component([_ADDER], "top_adder")
-        parallel = Engine(jobs=2).measure_component([_ADDER], "top_adder")
-        assert parallel == sequential
+    def test_one_component_and_lint_run_inline_at_any_jobs(self):
+        # The pool's unit of work is a component: one component's
+        # specialization sweep and a whole lint run dispatch nothing at
+        # jobs=2 and give the jobs=1 bytes.
+        spec = next(s for s in component_specs() if s.label == "Leon3-Cache")
+        sources = load_sources(spec)
+        linted, _ = violation_corpus(VERILOG, seed=31)
+        linted += [
+            src
+            for gm in generate_corpus(VERILOG, 12, seed=32, kinds=clean_kinds())
+            for src in gm.sources
+        ]
+
+        def run(jobs):
+            engine = Engine(jobs=jobs)
+            measured = engine.measure_component_safe(
+                sources, spec.top, name=spec.label
+            )
+            report = engine.lint(linted)
+            return [
+                pickle.dumps(part)
+                for part in (measured, *report.findings, *report.suppressed,
+                             *report.errors, report.modules, report.files)
+            ]
+
+        sequential = run(1)
+        dispatched = obs_metrics.counter("exec.dispatched")
+        before = dispatched.value
+        assert run(2) == sequential
+        assert dispatched.value == before
+        assert mp.active_children() == []
 
 
 class TestWorkerTelemetry:

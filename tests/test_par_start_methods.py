@@ -3,10 +3,9 @@
 A pool run's inputs reach its workers only through the worker context,
 which ``fork`` inherits but ``forkserver`` and ``spawn`` pickle once per
 worker.  A fresh interpreter per start method therefore checks that a
-jobs=2 batch measurement, specialization sweep and lint equal their
-jobs=1 results to the byte.  The sweep is equal in value to jobs=1 and
-byte-identical to the ``fork`` pool's pinned pickle.  ``forkserver`` is
-the default start method on Linux from Python 3.14 on.
+jobs=2 batch measurement (the pool's one grain: a task per component)
+equals its jobs=1 result to the byte.  ``forkserver`` is the default
+start method on Linux from Python 3.14 on.
 """
 
 from __future__ import annotations
@@ -18,22 +17,17 @@ from pathlib import Path
 
 import pytest
 
-from tests.core.test_golden_measure import POOL
-
 pytestmark = pytest.mark.par
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _RUN = """
-import hashlib, multiprocessing, pickle, sys
+import multiprocessing, pickle, sys
 multiprocessing.set_start_method(sys.argv[1])
 
 from repro.core.engine import Engine
-from repro.designs.catalog import component_specs
-from repro.designs.loader import load_sources
 from repro.gen import corpus_specs, generate_corpus
 from repro.hdl.source import VERILOG, VHDL
-from repro.lint import lint_sources
 from repro.obs import metrics as obs_metrics
 
 dispatched = obs_metrics.counter("exec.dispatched")
@@ -48,50 +42,32 @@ def same(run):
 
 specs = corpus_specs(generate_corpus(VERILOG, 2, seed=5)
                      + generate_corpus(VHDL, 2, seed=6))
-spec = next(s for s in component_specs() if s.label == "Leon3-Cache")
-sources = load_sources(spec)
-
-def lint(jobs):
-    report = lint_sources(
-        [s for g in specs for s in g.sources] + list(sources), jobs=jobs)
-    return [*report.findings, *report.suppressed, *report.errors,
-            report.modules, report.files]
-
-def sweep():
-    # A pooled measurement shares fewer objects than an inline one, so
-    # its pickle is pinned separately (POOL in test_golden_measure).
-    inline = Engine(jobs=1).measure_component(
-        sources, spec.top, name=spec.label)
-    before = dispatched.value
-    pooled = Engine(jobs=2).measure_component(
-        sources, spec.top, name=spec.label)
-    digest = hashlib.sha256(pickle.dumps(pooled, protocol=4)).hexdigest()
-    return (pooled == inline and digest == sys.argv[2]
-            and dispatched.value > before)
 
 checks = {
     "batch": same(lambda j: Engine(jobs=j).measure_components(
         specs).results.values()),
-    "sweep": sweep(),
-    "lint": same(lint),
 }
 print(multiprocessing.get_start_method(), checks)
 """
 
 
-@pytest.mark.parametrize("method", ["forkserver", "spawn"])
-def test_pool_equals_sequential(method):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
     )
+    return env
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_pool_equals_sequential(method):
     done = subprocess.run(
-        [sys.executable, "-c", _RUN, method, POOL["Leon3-Cache"]],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", _RUN, method],
+        env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == (
-        f"{method} {{'batch': True, 'sweep': True, 'lint': True}}"
+        f"{method} {{'batch': True}}"
     )
 
 
@@ -111,7 +87,7 @@ second = corpus_specs(generate_corpus(VHDL, 2, seed=6))
 sources = [s for spec in first + second for s in spec.sources]
 
 def runs(engine):
-    # A measure batch, a lint run and another measure batch, in order.
+    # A measure batch, an inline lint run and another measure batch.
     parts = list(engine.measure_components(first).results.values())
     report = engine.lint(sources)
     parts += [*report.findings, *report.errors, report.modules]
@@ -128,13 +104,9 @@ print(multiprocessing.get_start_method(), held == runs(Engine(jobs=1)),
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
 def test_kept_workers_equal_sequential(method):
     # A kept worker gets each later run's context in one pickled message.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
-    )
     done = subprocess.run(
         [sys.executable, "-c", _REUSE, method],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == f"{method} True True []"

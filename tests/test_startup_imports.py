@@ -70,7 +70,7 @@ from repro.exec.pool import run_pool
 def probe(inputs, index):
     return sorted(m for m in inputs["mods"] if m in sys.modules), ()
 
-outcomes = run_pool(probe, {"mods": %r}, ["a", "b"], kind="t", jobs=2)
+outcomes = run_pool(probe, {"mods": %r}, ["a", "b"], jobs=2)
 print([outcome.value for outcome in outcomes])
 """ % (PIPELINE,)
 
