@@ -23,6 +23,9 @@ Two trajectories the paper's harness tracks in BENCH_obs.json:
   modules writes (200 synthesis reports and 200 pristine measurements)
   into a fresh cache: the write path alone, with no synthesis around it
   (lower is better; best of :data:`REPEATS`).
+* ``cache.load_ms`` -- process CPU milliseconds of loading those same
+  400 entries back (the read path: open, read, unpickle, validate;
+  lower is better; best of :data:`REPEATS`).
 """
 
 import gc
@@ -139,20 +142,27 @@ def test_pool_cpu_ratio(bench_series, report, tmp_path):
     )
 
 
-def test_cache_store_cpu(bench_series, report, tmp_path):
+def _cold_catalog_cache(directory):
+    """A cache holding what one cold measure of a 200-component clean
+    catalog writes, with its report keys and its memo keys."""
     specs = _clean_catalog_specs("s")
-    seed = SynthesisCache(tmp_path / "seed")
+    cache = SynthesisCache(directory)
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
-        Engine(cache=seed).measure_components(specs)
-        entries = [
-            (path.stem, seed.load(path.stem).value) for path in seed.entries()
-        ] + [
-            (path.stem, seed.load_measurement(path.stem))
-            for path in seed.measurement_entries()
+        Engine(cache=cache).measure_components(specs)
+    reports = [path.stem for path in cache.entries()]
+    memos = [path.stem for path in cache.measurement_entries()]
+    assert len(reports) >= len(specs)
+    assert len(memos) == len(specs)
+    return cache, reports, memos
+
+
+def test_cache_store_cpu(bench_series, report, tmp_path):
+    seed, report_keys, memo_keys = _cold_catalog_cache(tmp_path / "seed")
+    with obs_metrics.using(obs_metrics.MetricsRegistry()):
+        entries = [(key, seed.load(key).value) for key in report_keys] + [
+            (key, seed.load_measurement(key)) for key in memo_keys
         ]
-    reports = len(seed.entries())
-    assert reports >= len(specs)
-    assert len(entries) == reports + len(specs)
+    reports = len(report_keys)
 
     best = float("inf")
     for repeat in range(REPEATS):
@@ -169,13 +179,39 @@ def test_cache_store_cpu(bench_series, report, tmp_path):
         best = min(best, elapsed)
         assert stored.get("cache.errors", 0.0) == 0.0
         assert stored["cache.stores"] == reports
-        assert stored["cache.measure_stores"] == len(specs)
+        assert stored["cache.measure_stores"] == len(memo_keys)
 
     bench_series("cache.store_ms", best * 1000)
     report(
         "cache write path (cold catalog)",
-        f"{len(entries)} entries ({reports} reports, {len(specs)} "
+        f"{len(entries)} entries ({reports} reports, {len(memo_keys)} "
         f"measurements) stored in {best * 1000:.0f}ms CPU "
+        f"(best of {REPEATS})",
+    )
+
+
+def test_cache_load_cpu(bench_series, report, tmp_path):
+    cache, reports, memos = _cold_catalog_cache(tmp_path / "cache")
+    best = float("inf")
+    for _ in range(REPEATS):
+        with obs_metrics.using(obs_metrics.MetricsRegistry()):
+            t0 = time.process_time()
+            for key in reports:
+                cache.load(key)
+            for key in memos:
+                cache.load_measurement(key)
+            elapsed = time.process_time() - t0
+            loaded = obs_metrics.snapshot()["counters"]
+        best = min(best, elapsed)
+        assert loaded.get("cache.errors", 0.0) == 0.0
+        assert loaded["cache.hits"] == len(reports)
+        assert loaded["cache.measure_hits"] == len(memos)
+
+    bench_series("cache.load_ms", best * 1000)
+    report(
+        "cache read path (cold catalog's entries)",
+        f"{len(reports) + len(memos)} entries ({len(reports)} reports, "
+        f"{len(memos)} measurements) loaded in {best * 1000:.1f}ms CPU "
         f"(best of {REPEATS})",
     )
 

@@ -32,6 +32,17 @@ path, one atomic write path and one degradation policy (see DESIGN.md,
 * a **store** failure (read-only directory, disk full) is swallowed after
   counting ``cache.errors`` -- caching is an optimization, not a stage.
 
+A report or a pristine measurement is stored as a compact record: the
+pickle of one rebuild function applied to plain fields
+(:func:`repro.synth.report.report_fields`,
+:func:`repro.core.workflow.measurement_fields`), so a hit looks up one
+function instead of every dataclass and rebuilds a value that pickles
+byte-identically to the one stored.  Anything else, and every lint run,
+is pickled as it is.  An entry written in the full-pickle form still
+loads to the same value, so it stays a hit; a version without the
+rebuild functions fails to load a record, and counts it as corrupt and
+recomputes it.
+
 Counters (``<prefix>hits``/``misses``/``stores`` per namespace, with the
 prefixes ``cache.``, ``cache.measure_`` and ``cache.lint_``, plus the
 shared ``cache.errors``) land in the default metrics registry, so hit
@@ -64,7 +75,9 @@ if TYPE_CHECKING:
     from repro.hdl.source import SourceFile
     from repro.synth.report import SynthesisReport
 
-#: Cache container format revision (bump when the entry encoding changes).
+#: Cache container format revision: bump it when an entry already on
+#: disk would no longer load to the value it was stored as.  The compact
+#: records needed no bump, since full-pickle entries still load.
 CACHE_FORMAT = 1
 
 #: The library/version salt folded into every key.  ``flow`` rides along
@@ -122,6 +135,18 @@ def _is_pristine_measurement(value: Any) -> bool:
     )
 
 
+def _report_record(value: Any) -> tuple:
+    from repro.synth.report import rebuild_report, report_fields
+
+    return rebuild_report, report_fields(value)
+
+
+def _measurement_record(value: Any) -> tuple:
+    from repro.core.workflow import measurement_fields, rebuild_measurement
+
+    return rebuild_measurement, measurement_fields(value)
+
+
 def _is_clean_lint(value: Any) -> bool:
     from repro.lint.engine import ModuleLintResult
 
@@ -138,16 +163,22 @@ class _Namespace:
     accepts: Callable[[Any], bool]  # checked on store and on every load
     counter: str  # prefix of the hits/misses/stores counters
     holds: str  # what ``accepts`` admits, for corrupt-entry details
+    #: An accepted value as ``(rebuild, fields)``, stored as the call
+    #: ``rebuild(*fields)`` (:class:`_Record`); with no encoder, or where
+    #: ``fields`` is None, the value itself is pickled.
+    record: Callable[[Any], tuple] | None = None
 
     @property
     def prefix(self) -> str:  # between the cache directory and a shard
         return f"{os.sep}{self.subdir}{os.sep}" if self.subdir else os.sep
 
 
-_SYNTH = _Namespace("", _is_report, "cache.", "SynthesisReport")
+_SYNTH = _Namespace(
+    "", _is_report, "cache.", "SynthesisReport", _report_record,
+)
 _MEASURE = _Namespace(
     "measure", _is_pristine_measurement, "cache.measure_",
-    "a pristine measurement Result",
+    "a pristine measurement Result", _measurement_record,
 )
 _LINT = _Namespace(
     "lint", _is_clean_lint, "cache.lint_",
@@ -178,6 +209,19 @@ def _open_temp(shard: str, tmp: str) -> int:
     except FileNotFoundError:
         os.makedirs(shard, exist_ok=True)
         return os.open(tmp, _TMP_FLAGS, 0o600)
+
+
+class _Record:
+    """Pickles as the call ``rebuild(*fields)``, so loading the entry runs
+    the rebuild and yields the value."""
+
+    __slots__ = ("reduced",)
+
+    def __init__(self, rebuild: Callable[..., Any], fields: tuple) -> None:
+        self.reduced = (rebuild, fields)
+
+    def __reduce__(self) -> tuple:
+        return self.reduced
 
 
 def content_key(*parts: str) -> str:
@@ -270,7 +314,7 @@ class SynthesisCache:
         dispatches only the components with no entry under this key.
         """
         parts = [
-            SALT,
+            self.salt,
             "measure-task",
             spec.name,
             spec.top,
@@ -337,8 +381,11 @@ class SynthesisCache:
         """
         path = self._path(ns, key)
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                blob = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
         except FileNotFoundError:
             obs_metrics.counter(ns.counter + "misses").inc()
             return _MISS
@@ -366,8 +413,9 @@ class SynthesisCache:
         """Atomically write one entry the namespace accepts; returns the
         bytes written, or ``None`` when nothing was.
 
-        Pickled before any file exists, written to ``<key>.<pid>.<seq>.tmp``
-        and renamed over the entry (DESIGN.md section 8).  A value the
+        Pickled (as its compact record, where the namespace has one)
+        before any file exists, written to ``<key>.<pid>.<seq>.tmp`` and
+        renamed over the entry (DESIGN.md section 8).  A value the
         loader would refuse to serve is not written (counts nothing); I/O
         failures are counted, not raised.
         """
@@ -375,7 +423,13 @@ class SynthesisCache:
             return None
         shard = self._shard(ns, key)
         try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            rebuild, fields = (
+                ns.record(value) if ns.record is not None else (None, None)
+            )
+            blob = pickle.dumps(
+                value if fields is None else _Record(rebuild, fields),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
             tmp = f"{shard}{os.sep}{key}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
             fd = _open_temp(shard, tmp)
             try:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.accounting import AccountingPolicy
 from repro.hdl.source import SourceFile
@@ -46,6 +46,43 @@ class ComponentMeasurement:
     metrics: dict[str, float]
     specializations: list[tuple[str, Mapping[str, int]]]
     reports: dict[tuple, SynthesisReport] = field(default_factory=dict)
+
+
+def measurement_fields(result: Any) -> tuple | None:
+    """A pristine ``Result`` of exactly a :class:`ComponentMeasurement`
+    as :func:`rebuild_measurement`'s arguments: its policy as two
+    booleans and its reports as ``(key, fields)`` pairs
+    (:func:`repro.synth.report.report_fields`).  None for anything
+    else, which the cache pickles as it is."""
+    from repro.synth.report import report_fields
+
+    if type(result) is not Result or result.diagnostics != ():
+        return None
+    m = result.value
+    if type(m) is not ComponentMeasurement or type(m.policy) is not AccountingPolicy:
+        return None
+    reports = tuple((key, report_fields(r)) for key, r in m.reports.items())
+    if any(fields is None for _, fields in reports):
+        return None
+    return (
+        m.name, m.top, m.policy.count_each_component_once,
+        m.policy.minimize_parameters, m.metrics, m.specializations, reports,
+    )
+
+
+def rebuild_measurement(name, top, count_each_component_once,
+                        minimize_parameters, metrics, specializations,
+                        reports) -> Result[ComponentMeasurement]:
+    """The pristine result :func:`measurement_fields` encoded.  The
+    constructors set fields in declaration order, as the measurement was
+    built, so the result pickles byte-identically to the one stored."""
+    from repro.synth.report import rebuild_report
+
+    policy = AccountingPolicy(count_each_component_once, minimize_parameters)
+    return Result(ComponentMeasurement(
+        name, top, policy, metrics, specializations,
+        {key: rebuild_report(*fields) for key, fields in reports},
+    ), ())
 
 
 @dataclass(frozen=True)

@@ -117,30 +117,39 @@ class Pickled:
     blob: bytes | None
 
 
+#: The registry the tasks of this process run under.  A worker runs its
+#: tasks one at a time, so one registry serves them all (a fresh one per
+#: task cost twice the increments it recorded); each task drains it into
+#: its own reply.
+_TASK_REGISTRY = obs_metrics.MetricsRegistry()
+
+
 def run_traced_task(
     fn: Callable[[], tuple[Any, tuple]], namespace: str, capture_trace: bool
 ) -> TaskOutcome:
     """Run ``fn`` under a private registry/tracer; never raises.  A
     :class:`Pickled` value hands its bytes to the outcome."""
-    registry = obs_metrics.MetricsRegistry()
     tracer = obs_trace.Tracer() if capture_trace else None
     value, error, diagnostics, blob = None, None, (), None
-    with obs_metrics.using(registry):
-        ctx = obs_trace.using(tracer) if tracer is not None else nullcontext()
-        with ctx:
-            try:
-                value, diagnostics = fn()
-                if isinstance(value, Pickled):
-                    value, blob = value.value, value.blob
-            except Exception as exc:  # noqa: BLE001 -- ferried to the parent
-                error = exc
+    try:
+        with obs_metrics.using(_TASK_REGISTRY):
+            ctx = obs_trace.using(tracer) if tracer is not None else nullcontext()
+            with ctx:
+                try:
+                    value, diagnostics = fn()
+                    if isinstance(value, Pickled):
+                        value, blob = value.value, value.blob
+                except Exception as exc:  # noqa: BLE001 -- ferried to the parent
+                    error = exc
+    finally:
+        metrics = _TASK_REGISTRY.drain()
     return TaskOutcome(
         value=value,
         error=error,
         diagnostics=tuple(diagnostics),
         telemetry=WorkerTelemetry(
             namespace=namespace,
-            metrics=registry.dump(),
+            metrics=metrics,
             spans=list(tracer.spans) if tracer is not None else [],
         ),
         value_blob=blob,

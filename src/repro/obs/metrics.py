@@ -218,6 +218,25 @@ class MetricsRegistry:
             for name, hist in dump.get("histograms", {}).items():
                 self.histogram(name).fold(hist)
 
+    def drain(self) -> dict[str, Any]:
+        """:meth:`dump` what was recorded since the last drain, then empty
+        the registry for reuse.
+
+        Counters stay registered at zero, so a pool worker that reuses one
+        registry for all its tasks creates each counter once, not once per
+        task; a counter left at zero is omitted, so each drain holds only
+        what its task counted.  Gauges and histograms are dumped, then
+        dropped.
+        """
+        with self._lock:
+            out = self.dump()
+            out["counters"] = {n: v for n, v in out["counters"].items() if v}
+            for c in self._counters.values():
+                c.value = 0.0
+            self._gauges.clear()
+            self._histograms.clear()
+        return out
+
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
@@ -257,10 +276,10 @@ def reset() -> None:
 def using(reg: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Route module-level instruments to ``reg`` for the ``with`` body.
 
-    Pool workers wrap each task in ``using(MetricsRegistry())`` so their
-    counts accumulate in a private registry (the fork start method would
+    Pool workers wrap each task in ``using(reg)`` with a private registry
+    so their counts accumulate there (the fork start method would
     otherwise leave them double-counting into an inherited copy of the
-    parent's), then ship ``reg.dump()`` back for the parent to ``merge``.
+    parent's), then ship ``reg.drain()`` back for the parent to ``merge``.
     """
     global _DEFAULT
     prev = _DEFAULT

@@ -8,8 +8,10 @@ cone count is also reported for cross-checking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields
+from functools import cache
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any
 
 from repro.obs import trace as obs_trace
 from repro.synth.area import AreaReport, area_report
@@ -61,6 +63,64 @@ class SynthesisReport:
             "Freq": self.fpga.frequency_mhz,
             "FFs": float(self.n_flipflops),
         }
+
+
+# -- compact cache records -----------------------------------------------------
+#
+# A cache entry (:mod:`repro.cache`) holds a report as one call of
+# :func:`rebuild_report` on plain fields, not as six pickled dataclasses:
+# unpickling looks each class up by module and name, which cost more than
+# the rest of a warm hit.  The constructors set fields in declaration
+# order, as the report was built, so a rebuilt report pickles
+# byte-identically to the one stored.
+
+_PARTS = (AreaReport, PowerReport, TimingReport, FpgaReport)
+
+
+def _getter(cls: type) -> attrgetter:
+    return attrgetter(*(f.name for f in fields(cls)))
+
+
+_PART_FIELDS = tuple(_getter(cls) for cls in _PARTS)
+
+
+@cache
+def _flow_codec() -> tuple[type, attrgetter]:
+    from repro.flow.metrics import FlowReport
+
+    return FlowReport, _getter(FlowReport)
+
+
+def report_fields(report: Any) -> tuple | None:
+    """``report`` as :func:`rebuild_report`'s arguments, its parts as
+    tuples of their fields; None unless the report and every part are
+    exactly the classes the rebuild makes."""
+    if type(report) is not SynthesisReport:
+        return None
+    parts = (report.area, report.power, report.timing, report.fpga)
+    flow_cls, flow_fields = _flow_codec()
+    flow = report.flow
+    if tuple(map(type, parts)) != _PARTS or (
+        flow is not None and type(flow) is not flow_cls
+    ):
+        return None
+    return (
+        report.name, report.n_nets, report.n_cells, report.n_flipflops,
+        *(get(part) for get, part in zip(_PART_FIELDS, parts)),
+        report.fanin_lc_asic,
+        None if flow is None else flow_fields(flow),
+    )
+
+
+def rebuild_report(name, n_nets, n_cells, n_flipflops, area, power, timing,
+                   fpga, fanin_lc_asic, flow) -> SynthesisReport:
+    """The report :func:`report_fields` encoded; a part with the wrong
+    number of fields raises ``TypeError``."""
+    return SynthesisReport(
+        name, n_nets, n_cells, n_flipflops, AreaReport(*area),
+        PowerReport(*power), TimingReport(*timing), FpgaReport(*fpga),
+        fanin_lc_asic, None if flow is None else _flow_codec()[0](*flow),
+    )
 
 
 def synthesis_metrics(

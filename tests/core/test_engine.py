@@ -179,18 +179,17 @@ class TestStrictQuarantine:
         (True, True,
          "13d9a39ea394fba1491aa6f1f3e072b12c30fe131d6ae4018cf1017086099da2"),
     ])
-    def test_measurement_key_is_unchanged(self, tmp_path, monkeypatch,
-                                          strict, lint, expected):
+    def test_measurement_key_is_unchanged(self, tmp_path, strict, lint,
+                                          expected):
         # A changed formula would silently turn every existing cache
         # entry into a miss.
-        monkeypatch.setattr(
-            "repro.cache.SALT", "ucx-cache1|verilog1|vhdl1|elab1|synth2|flow2"
+        cache = SynthesisCache(
+            tmp_path, salt="ucx-cache1|verilog1|vhdl1|elab1|synth2|flow2"
         )
         spec = ComponentSpec(
             "m", (SourceFile("m.v", "module m; endmodule"),), "m"
         )
-        key = SynthesisCache(tmp_path).measurement_key(spec, strict, lint)
-        assert key == expected
+        assert cache.measurement_key(spec, strict, lint) == expected
 
     @pytest.mark.chaos
     def test_supervisor_quarantine_fails_the_component(self):

@@ -62,6 +62,18 @@ class TestOutcomePickling:
         bare = run_traced_task(lambda: ("done", ()), "b0.w0", False)
         assert bare.value == "done" and bare.value_blob is None
 
+    def test_successive_tasks_reply_with_their_own_counts_only(self):
+        def step(name):
+            def fn():
+                obs_metrics.counter(name).inc()
+                return name, ()
+            return fn
+
+        first = run_traced_task(step("a.count"), "b0.w0", False)
+        second = run_traced_task(step("b.count"), "b0.w1", False)
+        assert first.telemetry.metrics["counters"] == {"a.count": 1.0}
+        assert second.telemetry.metrics["counters"] == {"b.count": 1.0}
+
 
 @pytest.mark.par
 class TestOnePicklePerResult:

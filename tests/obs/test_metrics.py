@@ -141,6 +141,23 @@ class TestHistogramWindow:
 
 
 class TestRegistry:
+    def test_drain_holds_only_what_was_recorded_since_the_last(self):
+        reg = MetricsRegistry()
+        reg.inc("a.count", 2)
+        reg.gauge("g").set(5)
+        reg.observe("lat", 1.5)
+        first = reg.drain()
+        assert first["counters"] == {"a.count": 2.0}
+        assert first["gauges"] == {"g": 5.0}
+        assert first["histograms"]["lat"]["count"] == 1
+        counter = reg.counter("a.count")
+        reg.inc("b.count")
+        assert reg.drain() == {
+            "counters": {"b.count": 1.0}, "gauges": {}, "histograms": {},
+        }
+        assert reg.counter("a.count") is counter  # kept, at zero
+        assert counter.value == 0.0
+
     def test_snapshot_is_sorted_and_only_touched(self):
         reg = MetricsRegistry()
         reg.inc("z.count")

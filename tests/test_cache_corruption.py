@@ -10,6 +10,7 @@ the degradation as a stage-``cache`` WARNING.
 
 from __future__ import annotations
 
+import io
 import pickle
 
 import pytest
@@ -63,8 +64,29 @@ NAMESPACES = {
 }
 
 
+class _Fields(pickle.Unpickler):
+    """Loads a compact record as its ``(rebuild, fields)`` pair."""
+
+    def find_class(self, module, name):
+        rebuild = super().find_class(module, name)
+        return lambda *fields: (rebuild, fields)
+
+
+class _Call:
+    def __init__(self, rebuild, fields):
+        self.reduced = (rebuild, fields)
+
+    def __reduce__(self):
+        return self.reduced
+
+
 def _poison(path, fault):
-    if fault == "truncate":
+    if fault == "missing_field":
+        # A record one field short (an entry from a writer whose report
+        # had one field fewer) must not be served half-built.
+        rebuild, fields = _Fields(io.BytesIO(path.read_bytes())).load()
+        path.write_bytes(pickle.dumps(_Call(rebuild, fields[:-1])))
+    elif fault == "truncate":
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
     elif fault == "garbage":
@@ -80,8 +102,18 @@ def _run(pipeline, cache):
     return value, diagnostics, counters
 
 
-@pytest.mark.parametrize("fault", ["truncate", "garbage", "wrong_type"])
-@pytest.mark.parametrize("namespace", sorted(NAMESPACES))
+#: (namespace, fault) pairs; only the report-holding namespaces store
+#: compact records (repro.cache), so only they can lose a record field.
+CASES = [
+    (namespace, fault)
+    for namespace in sorted(NAMESPACES)
+    for fault in ("truncate", "garbage", "wrong_type")
+] + [("measure", "missing_field"), ("synthesis", "missing_field")]
+
+
+@pytest.mark.parametrize(
+    ("namespace", "fault"), CASES, ids=[f"{n}-{f}" for n, f in CASES]
+)
 def test_corrupt_entry_is_counted_evicted_and_restored(
     tmp_path, monkeypatch, namespace, fault
 ):

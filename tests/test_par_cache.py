@@ -10,6 +10,7 @@ import pytest
 
 from repro.cache import SynthesisCache, hit_rate
 from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.diagnostics import Severity
@@ -98,6 +99,16 @@ class TestInvalidation:
         other = SynthesisCache(cache.directory, salt=cache.salt + "|bumped")
         texts = (_SRC.text,)
         assert cache.key(texts, "alu", {}) != other.key(texts, "alu", {})
+
+    def test_version_salt_changes_the_memo_key(self, cache):
+        # A re-salted cache must not serve whole-component memos stored
+        # under the old salt, just as it serves no old synthesis entry.
+        other = SynthesisCache(cache.directory, salt=cache.salt + "|bumped")
+        spec = ComponentSpec("alu", (_SRC,), "top_alu")
+        assert cache.measurement_key(spec) != other.measurement_key(spec)
+        Engine(cache=cache).measure_components([spec])
+        assert cache.load_measurement(cache.measurement_key(spec)) is not None
+        assert other.load_measurement(other.measurement_key(spec)) is None
 
 
 class TestCorruption:
