@@ -10,6 +10,7 @@ synthesis -> metric vector) on that component.
 from repro.analysis.tables import render_table
 from repro.core.metrics import METRIC_REGISTRY
 from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.designs.catalog import CATALOG
 from repro.designs.loader import load_sources
 
@@ -25,12 +26,13 @@ def test_table3_metric_registry(report, benchmark):
     )
 
     spec = CATALOG["RAT"].components[0]
-    sources = load_sources(spec)
+    component = ComponentSpec(spec.label, tuple(load_sources(spec)), spec.top)
 
-    measurement = benchmark.pedantic(
-        lambda: Engine().measure_component(sources, spec.top, name=spec.label),
+    batch = benchmark.pedantic(
+        lambda: Engine().measure_components([component], strict=True),
         rounds=3, iterations=1,
     )
+    measurement = batch.results[spec.label].unwrap()
     rows = [[k, f"{v:.1f}"] for k, v in sorted(measurement.metrics.items())]
     report(
         f"Live measurement of {spec.label}",

@@ -12,6 +12,7 @@ Run with::
 """
 
 from repro import AccountingPolicy, Engine
+from repro.core.workflow import ComponentSpec
 from repro.designs.catalog import CATALOG
 from repro.designs.loader import load_sources
 
@@ -21,17 +22,22 @@ def show(measurement) -> None:
         print(f"    {name:8s} = {measurement.metrics[name]:10.1f}")
 
 
+def measure(engine, spec, sources, policy):
+    """One component through the engine: a batch of one, raising."""
+    component = ComponentSpec(spec.label, sources, spec.top, policy)
+    batch = engine.measure_components([component], strict=True)
+    return batch.results[spec.label].unwrap()
+
+
 def main() -> None:
     engine = Engine()
     for spec in CATALOG["RAT"].components:
-        sources = load_sources(spec)
+        sources = tuple(load_sources(spec))
         print(f"\n=== {spec.label} (top: {spec.top}) ===")
         print(f"  sources: {', '.join(s.name for s in sources)}")
 
-        with_acct = engine.measure_component(
-            sources, spec.top, name=spec.label,
-            policy=AccountingPolicy.recommended(),
-        )
+        with_acct = measure(engine, spec, sources,
+                            AccountingPolicy.recommended())
         print("  measured specializations (accounting procedure ON):")
         for module, params in with_acct.specializations:
             rendered = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
@@ -39,10 +45,7 @@ def main() -> None:
         print("  metrics:")
         show(with_acct)
 
-        without = engine.measure_component(
-            sources, spec.top, name=spec.label,
-            policy=AccountingPolicy.disabled(),
-        )
+        without = measure(engine, spec, sources, AccountingPolicy.disabled())
         print("  without the accounting procedure:")
         print(f"    instances measured: {len(without.specializations)} "
               f"(vs {len(with_acct.specializations)})")

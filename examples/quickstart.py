@@ -49,17 +49,18 @@ def main() -> None:
 
     # Measure one bundled component through the full pipeline, with the
     # content-addressed synthesis cache (rerun this script: the second pass
-    # hits and skips synthesis entirely).
+    # is served from the whole-component memo without parsing).
     from repro.cache import SynthesisCache, hit_rate
     from repro import Engine
+    from repro.core.workflow import ComponentSpec
     from repro.designs.catalog import component_specs
     from repro.designs.loader import load_sources
 
     spec = component_specs()[0]
     cache = SynthesisCache.default()
-    m = Engine(cache=cache).measure_component(
-        load_sources(spec), spec.top, name=spec.label
-    )
+    component = ComponentSpec(spec.label, tuple(load_sources(spec)), spec.top)
+    batch = Engine(cache=cache).measure_components([component], strict=True)
+    m = batch.results[spec.label].unwrap()
     print(f"\nmeasured {spec.label}: LoC={m.metrics['LoC']:.0f}, "
           f"Stmts={m.metrics['Stmts']:.0f}, FanInLC={m.metrics['FanInLC']:.0f}")
 

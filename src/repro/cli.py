@@ -170,34 +170,55 @@ _exit_code = exit_code
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    """Measure FILES as one component, or every module of ``--catalog``.
+
+    Both forms make one :meth:`~repro.core.engine.Engine.measure_components`
+    call, so a warm component is served from the memo without parsing;
+    ``--strict`` acts only through the exit code.  Only the renderers
+    differ.
+    """
+    from repro.core.workflow import ComponentSpec, catalog_specs
+
     policy = (
         AccountingPolicy.disabled()
         if args.no_accounting
         else AccountingPolicy.recommended()
     )
+    diagnostics: list[Diagnostic] = []
     if args.catalog:
         if args.files:
             print("error: --catalog and FILES are mutually exclusive",
                   file=sys.stderr)
             return EXIT_FATAL
-        return _measure_catalog(args, policy)
-    if not args.files:
-        print("error: provide HDL FILES or --catalog DIR", file=sys.stderr)
-        return EXIT_FATAL
-    if not args.top:
-        print("error: --top is required when measuring FILES",
-              file=sys.stderr)
-        return EXIT_FATAL
-    diagnostics: list[Diagnostic] = []
-    sources = []
-    for path in args.files:
         try:
-            sources.append(SourceFile.from_path(path))
-        except Exception as exc:  # noqa: BLE001 -- quarantine unreadable files
-            diagnostics.append(Diagnostic.from_exception(exc, "parse"))
-    result = _engine_from_args(args).measure_component_safe(
-        sources, args.top, policy=policy, lint=args.lint,
-    )
+            specs = catalog_specs(args.catalog, policy=policy,
+                                  limit=args.limit)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FATAL
+    else:
+        if not args.files:
+            print("error: provide HDL FILES or --catalog DIR", file=sys.stderr)
+            return EXIT_FATAL
+        if not args.top:
+            print("error: --top is required when measuring FILES",
+                  file=sys.stderr)
+            return EXIT_FATAL
+        sources = []
+        for path in args.files:
+            try:
+                sources.append(SourceFile.from_path(path))
+            except Exception as exc:  # noqa: BLE001 -- quarantine unreadable files
+                diagnostics.append(Diagnostic.from_exception(exc, "parse"))
+        specs = [ComponentSpec(args.top, tuple(sources), args.top, policy)]
+    batch = _engine_from_args(args).measure_components(specs, lint=args.lint)
+    if args.catalog:
+        return _render_catalog(args, batch)
+    return _render_component(args, batch.results[args.top], diagnostics)
+
+
+def _render_component(args: argparse.Namespace, result, diagnostics) -> int:
+    """Print one component's metric table (``measure FILES --top T``)."""
     diagnostics.extend(result.diagnostics)
     _print_diagnostics(diagnostics)
     if result.value is None:
@@ -213,24 +234,13 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     return _exit_code(diagnostics, strict=args.strict)
 
 
-def _measure_catalog(args: argparse.Namespace, policy) -> int:
-    """Measure every module of a generated catalog (``measure --catalog``).
+def _render_catalog(args: argparse.Namespace, batch) -> int:
+    """Print a generated catalog's summary table (``measure --catalog``).
 
     The catalog run is the standard parallel workload of the profiling
     walkthrough: many small independent components, dispatched through
     the supervised pool when ``--jobs > 1``.
     """
-    from repro.core.workflow import catalog_specs
-
-    try:
-        specs = catalog_specs(args.catalog, policy=policy,
-                              limit=args.limit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    batch = _engine_from_args(args).measure_components(
-        specs, strict=args.strict, lint=args.lint,
-    )
     rows = []
     for name in sorted(batch.results):
         m = batch.measurements.get(name)

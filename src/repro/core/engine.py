@@ -9,17 +9,19 @@
 * optionally, an open :class:`~repro.exec.Supervisor` whose workers
   every batch pool run of the engine reuses (the serve daemon holds one),
 
--- and exposes the pipeline entry points :meth:`measure_component` /
-:meth:`measure_component_safe` / :meth:`measure_components` /
+-- and exposes the pipeline entry points :meth:`measure_components` /
 :meth:`measure_catalog` / :meth:`lint` / :meth:`fit_estimator`.  A
 one-shot CLI run builds one engine; the ``ucomplexity serve`` daemon
 builds one at startup and reuses it for every request, so both share
 exactly one code path and stay byte-identical.
 
-There is one measurement pipeline, the fault-tolerant one
-(:meth:`measure_component_safe`, Section 2's parse -> software metrics ->
-elaborate + accounting -> synthesize -> aggregate flow).  Strict,
-raising measurement is that pipeline with ``strict=True``.
+There is one way to measure: :meth:`measure_components`, which probes
+the whole-component memo before any work and otherwise runs the one
+fault-tolerant pipeline (Section 2's parse -> software metrics ->
+elaborate + accounting -> synthesize -> aggregate flow) per component.
+A single component is a batch of one; strict, raising measurement is
+the same pipeline with ``strict=True``.  :meth:`measure_catalog` is a
+thin convenience over it for the bundled designs.
 
 The engine itself holds no mutable pipeline state besides the estimator
 fit cache: measurement results depend only on (sources, policy, flags),
@@ -219,30 +221,8 @@ class Engine:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure_component(
-        self,
-        sources: Sequence[SourceFile],
-        top: str,
-        name: str | None = None,
-        policy: AccountingPolicy = AccountingPolicy.recommended(),
-    ) -> ComponentMeasurement:
-        """Measure every Table 3 metric for one component (raising).
-
-        The fault-tolerant pipeline in strict mode: the first failure
-        raises instead of degrading the measurement.
-        """
-        return self.measure_component_safe(
-            sources, top, name=name, policy=policy, strict=True
-        ).unwrap()
-
-    def measure_component_safe(
-        self,
-        sources: Sequence[SourceFile],
-        top: str,
-        name: str | None = None,
-        policy: AccountingPolicy = AccountingPolicy.recommended(),
-        strict: bool = False,
-        lint: bool = False,
+    def _measure_component(
+        self, spec: ComponentSpec, strict: bool, lint: bool,
     ) -> Result[ComponentMeasurement]:
         """Measure one component with per-stage fault isolation.
 
@@ -262,27 +242,12 @@ class Engine:
         The returned :class:`Result` is ok (clean), degraded (value + ERROR
         diagnostics), or failed (no parseable input at all).  ``strict``
         raises the first failure instead.  The specializations run
-        inline at any ``jobs``: one component is the pool's unit of work
-        (:meth:`measure_components`).  A corrupt cache entry degrades to
-        a recompute plus a WARNING diagnostic.  ``lint=True`` audits the
-        parsed catalog against the ACC accounting rules first
-        (:mod:`repro.lint`); violations become WARNING diagnostics.
+        inline at any ``jobs``: one component is the pool's unit of work.
+        A corrupt cache entry degrades to a recompute plus a WARNING
+        diagnostic.  ``lint=True`` audits the parsed catalog against the
+        ACC accounting rules first (:mod:`repro.lint`); violations become
+        WARNING diagnostics.
         """
-        label = name or top
-        with obs_trace.span("measure.component_safe", component=label):
-            return self._measure_component_safe(
-                sources, top, label, policy, strict, lint
-            )
-
-    def _measure_component_safe(
-        self,
-        sources: Sequence[SourceFile],
-        top: str,
-        label: str,
-        policy: AccountingPolicy,
-        strict: bool,
-        lint: bool = False,
-    ) -> Result[ComponentMeasurement]:
         # The pipeline loads here, on the first measurement, not with the
         # engine; read at call time, so a patched stage is the one called.
         from repro.elab.degeneracy import minimal_parameters
@@ -290,11 +255,12 @@ class Engine:
         from repro.hdl import ast, parse_source
         from repro.hdl.metrics import software_metrics
 
+        label, top, policy = spec.name, spec.top, spec.policy
         boundary = StageBoundary(component=label, strict=strict)
 
         parsed_sources: list[SourceFile] = []
         design = ast.Design()
-        for source in sources:
+        for source in spec.sources:
             sub = boundary.run("parse", lambda s=source: parse_source(s))
             if sub is None:
                 obs_metrics.counter("measure.quarantined_units").inc()
@@ -488,10 +454,8 @@ class Engine:
         ``store_measurement`` refuses degraded results.  Also returns the
         bytes stored (``None``: nothing), which a worker's reply reuses.
         """
-        result = self.measure_component_safe(
-            spec.sources, spec.top, name=spec.name,
-            policy=spec.policy, strict=strict, lint=lint,
-        )
+        with obs_trace.span("measure.component_safe", component=spec.name):
+            result = self._measure_component(spec, strict, lint)
         if key is None:
             return result, None
         return result, self.cache.store_measurement(key, result)

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.cache import SynthesisCache
 from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.gen.hdlgen import generate_corpus
 from repro.gen.oracle import run_differential_oracle
 from repro.gen.recovery import RecoveryStudy, run_recovery_study
@@ -90,20 +91,26 @@ def _roundtrip_check(modules: "list[GeneratedModule]") -> CheckResult:
     """Print each parsed design back to Verilog and re-measure."""
     keys = ("Stmts", "Nets", "Cells", "FFs", "FanInLC")
     bad: list[str] = []
-    engine = Engine()
+    specs: list[ComponentSpec] = []
     for gm in modules:
         try:
             printed = print_design(parse_source(gm.sources[0]))
-            src = SourceFile(name=f"{gm.name}_rt.v", text=printed)
-            m = engine.measure_component((src,), gm.name, name=gm.name,
-                                         policy=gm.spec.policy)
         except Exception as exc:
             bad.append(f"{gm.name}: {type(exc).__name__}: {exc}")
             continue
-        diffs = {k: (gm.truth[k], m.metrics.get(k)) for k in keys
-                 if abs(gm.truth[k] - m.metrics.get(k, -1)) > 1e-9}
+        src = SourceFile(name=f"{gm.name}_rt.v", text=printed)
+        specs.append(ComponentSpec(gm.name, (src,), gm.name, gm.spec.policy))
+    truth = {gm.name: gm.truth for gm in modules}
+    for name, result in Engine().measure_components(specs).results.items():
+        if not result.ok:
+            worst = max(result.diagnostics, key=lambda d: d.severity)
+            bad.append(f"{name}: {worst.render()}")
+            continue
+        metrics = result.value.metrics
+        diffs = {k: (truth[name][k], metrics.get(k)) for k in keys
+                 if abs(truth[name][k] - metrics.get(k, -1)) > 1e-9}
         if diffs:
-            bad.append(f"{gm.name}: {diffs}")
+            bad.append(f"{name}: {diffs}")
     detail = (f"{len(modules)} modules re-printed and re-measured"
               if not bad else "; ".join(bad[:5]))
     return CheckResult("roundtrip", not bad, detail)

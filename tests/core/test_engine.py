@@ -24,6 +24,7 @@ from repro.hdl.source import HdlError, SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.faultinject import truncate_source
 from tests.core.test_golden_measure import INLINE, digest
+from tests._measure import measure_one, measure_strict
 
 _ADDER = SourceFile(
     "adder.v",
@@ -83,8 +84,8 @@ def _same_batch(reference, candidate):
 
 class TestEngineEquivalence:
     def test_measure_component_matches_free_function(self):
-        via_engine = Engine().measure_component(
-            [_ADDER], "top_adder", name="adder"
+        via_engine = measure_strict(
+            Engine(), [_ADDER], "top_adder", name="adder"
         )
         assert digest(via_engine) == _FREE_FUNCTION["measure_component(adder)"]
 
@@ -93,7 +94,7 @@ class TestEngineEquivalence:
         for sources, label in (
             ([_ADDER], "adder"), ([corrupt], "corrupt adder"),
         ):
-            via_engine = Engine().measure_component_safe(sources, "top_adder")
+            via_engine = measure_one(Engine(), sources, "top_adder")
             assert digest(via_engine) == _FREE_FUNCTION[
                 f"measure_component_safe({label})"
             ]
@@ -145,8 +146,8 @@ class TestEngineEquivalence:
         for spec in component_specs():
             if spec.design != "PUMA":
                 continue
-            direct = Engine().measure_component(
-                load_sources(spec), spec.top, name=spec.label
+            direct = measure_strict(
+                Engine(), load_sources(spec), spec.top, name=spec.label
             )
             assert pickle.dumps(via_engine[spec.label]) == pickle.dumps(direct)
 

@@ -1,8 +1,8 @@
 """Golden measurements: strict results on every bundled component are pinned.
 
 The sha256 of ``pickle.dumps(measurement, protocol=4)`` for each of the 18
-bundled Table 2 components, measured strictly (``Engine.measure_component``,
-no cache).  The values were recorded through the former raising pipeline
+bundled Table 2 components, measured strictly (a batch of one through
+``Engine.measure_components``, no cache).  The values were recorded through the former raising pipeline
 before it was folded into the fault-tolerant one, so they are the
 reference that keeps that merge honest.
 
@@ -27,6 +27,7 @@ import pytest
 from repro.core.engine import Engine
 from repro.designs.catalog import component_specs
 from repro.designs.loader import load_sources
+from tests._measure import measure_strict
 
 #: sha256 of the pickled strict measurement, at any ``jobs``.
 INLINE = {
@@ -59,8 +60,8 @@ def digest(measurement) -> str:
 
 def _measure(label: str, jobs: int):
     spec = _SPECS[label]
-    return Engine(jobs=jobs).measure_component(
-        load_sources(spec), spec.top, name=spec.label
+    return measure_strict(
+        Engine(jobs=jobs), load_sources(spec), spec.top, name=spec.label
     )
 
 

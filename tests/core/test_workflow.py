@@ -7,6 +7,7 @@ from repro.core.engine import Engine
 from repro.core.workflow import ComponentSpec
 from repro.hdl.source import HdlSyntaxError, SourceFile
 from repro.runtime.diagnostics import Severity
+from tests._measure import measure_one, measure_strict
 
 ENGINE = Engine()
 
@@ -38,7 +39,7 @@ class TestMeasureComponent:
     def test_metrics_complete(self):
         from repro.flow.metrics import FLOW_METRIC_NAMES
 
-        m = ENGINE.measure_component([_HIER], "top")
+        m = measure_strict(ENGINE, [_HIER], "top")
         expected = {
             "LoC", "Stmts", "FanInLC", "Nets", "Cells", "AreaL", "AreaS",
             "PowerD", "PowerS", "Freq", "FFs",
@@ -46,21 +47,21 @@ class TestMeasureComponent:
         assert set(m.metrics) == expected
 
     def test_accounting_counts_leaf_once(self):
-        m = ENGINE.measure_component([_HIER], "top")
+        m = measure_strict(ENGINE, [_HIER], "top")
         modules = [name for name, _ in m.specializations]
         assert modules.count("leaf") == 1
         assert modules.count("top") == 1
 
     def test_accounting_minimizes_parameters(self):
-        m = ENGINE.measure_component([_HIER], "top")
+        m = measure_strict(ENGINE, [_HIER], "top")
         leaf_params = next(
             dict(params) for name, params in m.specializations if name == "leaf"
         )
         assert leaf_params["W"] == 2  # the i=1..W-1 chain needs W >= 2
 
     def test_disabled_policy_counts_every_instance(self):
-        m = ENGINE.measure_component(
-            [_HIER], "top", policy=AccountingPolicy.disabled()
+        m = measure_strict(
+            ENGINE, [_HIER], "top", policy=AccountingPolicy.disabled()
         )
         modules = [name for name, _ in m.specializations]
         assert modules.count("leaf") == 3
@@ -70,25 +71,25 @@ class TestMeasureComponent:
         assert all(p["W"] == 8 for p in leaf_params)
 
     def test_ffs_multiply_without_accounting(self):
-        with_acct = ENGINE.measure_component([_HIER], "top")
-        without = ENGINE.measure_component(
-            [_HIER], "top", policy=AccountingPolicy.disabled()
+        with_acct = measure_strict(ENGINE, [_HIER], "top")
+        without = measure_strict(
+            ENGINE, [_HIER], "top", policy=AccountingPolicy.disabled()
         )
         # 3 instances x 8 FFs vs 1 instance x 2 FFs (minimized width).
         assert without.metrics["FFs"] == 24
         assert with_acct.metrics["FFs"] == 2
 
     def test_software_metrics_policy_independent(self):
-        a = ENGINE.measure_component([_HIER], "top")
-        b = ENGINE.measure_component(
-            [_HIER], "top", policy=AccountingPolicy.disabled()
+        a = measure_strict(ENGINE, [_HIER], "top")
+        b = measure_strict(
+            ENGINE, [_HIER], "top", policy=AccountingPolicy.disabled()
         )
         assert a.metrics["LoC"] == b.metrics["LoC"]
         assert a.metrics["Stmts"] == b.metrics["Stmts"]
 
     def test_identical_specs_synthesized_once(self):
-        m = ENGINE.measure_component(
-            [_HIER], "top", policy=AccountingPolicy.disabled()
+        m = measure_strict(
+            ENGINE, [_HIER], "top", policy=AccountingPolicy.disabled()
         )
         # Three identical leaf instances share one synthesis report.
         assert len(m.reports) == 2  # top + leaf(W=8)
@@ -96,11 +97,11 @@ class TestMeasureComponent:
     def test_parse_component_merges_files(self):
         a = SourceFile("a.v", "module a(input x); endmodule")
         b = SourceFile("b.v", "module b(input x); a u0 (.x(x)); endmodule")
-        m = ENGINE.measure_component([a, b], "b")
+        m = measure_strict(ENGINE, [a, b], "b")
         assert {name for name, _ in m.specializations} == {"a", "b"}
 
     def test_freq_is_minimum_across_modules(self):
-        m = ENGINE.measure_component([_HIER], "top")
+        m = measure_strict(ENGINE, [_HIER], "top")
         freqs = [rep.metrics()["Freq"] for rep in m.reports.values()]
         assert m.metrics["Freq"] == min(freqs)
 
@@ -132,12 +133,12 @@ endmodule
 
 class TestMeasureComponentSafe:
     def test_clean_matches_fail_fast_path(self):
-        safe = ENGINE.measure_component_safe([_HIER], "top")
+        safe = measure_one(ENGINE, [_HIER], "top")
         assert safe.ok and not safe.diagnostics
-        assert safe.value.metrics == ENGINE.measure_component([_HIER], "top").metrics
+        assert safe.value.metrics == measure_strict(ENGINE, [_HIER], "top").metrics
 
     def test_broken_file_quarantined(self):
-        result = ENGINE.measure_component_safe([_HIER, _BROKEN], "top")
+        result = measure_one(ENGINE, [_HIER, _BROKEN], "top")
         assert result.degraded
         assert result.value.metrics["FFs"] == 2  # synthesis still ran
         (diag,) = result.diagnostics
@@ -147,13 +148,13 @@ class TestMeasureComponentSafe:
         assert diag.hint
 
     def test_nothing_parseable_is_fatal(self):
-        result = ENGINE.measure_component_safe([_BROKEN], "top")
+        result = measure_one(ENGINE, [_BROKEN], "top")
         assert result.failed
         assert result.severity is Severity.FATAL
         assert any("no source file parsed" in d.message for d in result.diagnostics)
 
     def test_elaboration_failure_keeps_software_metrics(self):
-        result = ENGINE.measure_component_safe([_GHOST_TOP], "ghost_top")
+        result = measure_one(ENGINE, [_GHOST_TOP], "ghost_top")
         assert result.degraded
         assert "LoC" in result.value.metrics
         assert "Cells" not in result.value.metrics
@@ -162,10 +163,10 @@ class TestMeasureComponentSafe:
 
     def test_strict_reraises(self):
         with pytest.raises(HdlSyntaxError):
-            ENGINE.measure_component_safe([_BROKEN], "top", strict=True)
+            measure_one(ENGINE, [_BROKEN], "top", strict=True)
 
     def test_nonterminating_loop_is_located(self):
-        result = ENGINE.measure_component_safe([_SPIN], "spin")
+        result = measure_one(ENGINE, [_SPIN], "spin")
         (diag,) = [d for d in result.diagnostics if d.stage == "account"]
         assert diag.message == "spin: loop 'i' does not terminate"
         assert diag.span is not None

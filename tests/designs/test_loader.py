@@ -8,6 +8,7 @@ from repro.core.engine import Engine
 from repro.designs.loader import load_sources, measured_dataset
 
 from repro.flow.metrics import FLOW_METRIC_NAMES
+from tests._measure import measure_strict
 
 ALL_METRIC_KEYS = {
     "LoC", "Stmts", "FanInLC", "Nets", "Cells", "AreaL", "AreaS",
@@ -30,8 +31,8 @@ class TestEveryComponentMeasures:
         "spec", component_specs(), ids=lambda s: s.label
     )
     def test_component_full_pipeline(self, spec):
-        m = Engine().measure_component(
-            load_sources(spec), spec.top, name=spec.label
+        m = measure_strict(
+            Engine(), load_sources(spec), spec.top, name=spec.label
         )
         assert set(m.metrics) == ALL_METRIC_KEYS
         assert m.metrics["LoC"] > 0

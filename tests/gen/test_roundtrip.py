@@ -15,6 +15,7 @@ from repro.hdl import count_statements, parse_source
 from repro.hdl.printer import PrintError, print_design, print_expr
 from repro.hdl import ast
 from repro.hdl.source import VERILOG, VHDL, SourceFile
+from tests._measure import measure_strict
 
 #: LoC is excluded: formatting belongs to the printer, not the AST.
 _NETLIST_KEYS = ("Stmts", "Nets", "Cells", "FFs", "FanInLC")
@@ -40,8 +41,8 @@ def test_roundtrip_preserves_metrics(language):
             assert count_statements(module) == \
                 count_statements(reparsed.modules[name])
         # And the synthesized netlist still matches the ground truth.
-        m = Engine().measure_component(
-            (SourceFile(f"{gm.name}_rt.v", printed),), gm.name,
+        m = measure_strict(
+            Engine(), (SourceFile(f"{gm.name}_rt.v", printed),), gm.name,
             name=gm.name, policy=gm.spec.policy)
         for key in _NETLIST_KEYS:
             assert m.metrics[key] == pytest.approx(gm.truth[key]), (
@@ -93,3 +94,18 @@ try:
                 count_statements(reparsed.modules[name])
 except ImportError:  # pragma: no cover - hypothesis is optional
     pass
+
+
+def test_selftest_roundtrip_counts_a_degraded_measure_as_bad():
+    # The self-test re-measures without strict mode: a degraded result
+    # must fail the check, as a raised exception does.
+    from dataclasses import replace
+
+    from repro.gen.selftest import _roundtrip_check
+
+    good = generate_corpus(VERILOG, 2, seed=5)
+    assert _roundtrip_check(good).ok
+    ghost = replace(good[0], name="ghost")  # no module "ghost" in its source
+    check = _roundtrip_check([good[1], ghost])
+    assert not check.ok
+    assert check.detail.startswith("ghost: error[elaborate]"), check.detail

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hdl import parse_source
 from repro.hdl.source import HdlError, HdlIoError, HdlSyntaxError, SourceFile
+from tests._measure import measure_one
 
 
 class TestFromPath:
@@ -166,7 +167,7 @@ class TestInvalidLiteralDigits:
     def test_measure_reports_parse_stage(self, name, text, literal, line):
         from repro.core.engine import Engine
 
-        result = Engine().measure_component_safe([SourceFile(name, text)], top="m")
+        result = measure_one(Engine(), [SourceFile(name, text)], top="m")
         located = [d for d in result.diagnostics if d.span is not None]
         assert len(located) == 1
         (diag,) = located

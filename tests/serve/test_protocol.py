@@ -9,6 +9,7 @@ from repro.hdl.source import SourceFile
 from repro.runtime.diagnostics import Diagnostic, Severity, SourceSpan
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
+from tests._measure import measure_one
 
 _ADDER = SourceFile(
     "adder.v",
@@ -121,7 +122,7 @@ class TestEstimateRequest:
 
 class TestMeasureResponse:
     def test_clean_result_maps_to_200(self):
-        result = Engine().measure_component_safe([_ADDER], "top_adder", name="adder")
+        result = measure_one(Engine(), [_ADDER], "top_adder", name="adder")
         status, payload = protocol.measure_response("r1", result)
         assert status == 200
         assert payload["verdict"] == "ok"
@@ -130,8 +131,8 @@ class TestMeasureResponse:
         assert payload["component"]["metrics"]["Stmts"] > 0
 
     def test_fatal_result_maps_to_500(self):
-        result = Engine().measure_component_safe(
-            [SourceFile("x.v", "garbage(")], "nope"
+        result = measure_one(
+            Engine(), [SourceFile("x.v", "garbage(")], "nope"
         )
         status, payload = protocol.measure_response("r1", result)
         assert status == 500
@@ -142,8 +143,8 @@ class TestMeasureResponse:
     def test_strict_promotes_degraded_to_500(self):
         from repro.runtime.faultinject import truncate_source
 
-        result = Engine().measure_component_safe(
-            [_ADDER, truncate_source(_ADDER, 0.4)], "top_adder",
+        result = measure_one(
+            Engine(), [_ADDER, truncate_source(_ADDER, 0.4)], "top_adder",
         )
         assert result.degraded
         lax_status, _ = protocol.measure_response("r1", result)
@@ -155,7 +156,7 @@ class TestMeasureResponse:
 
     def test_payload_is_pure_function_of_result(self):
         engine = Engine()
-        result = engine.measure_component_safe([_ADDER], "top_adder", name="adder")
-        again = engine.measure_component_safe([_ADDER], "top_adder", name="adder")
+        result = measure_one(engine, [_ADDER], "top_adder", name="adder")
+        again = measure_one(engine, [_ADDER], "top_adder", name="adder")
         assert protocol.encode(protocol.measure_response("r9", result)[1]) \
             == protocol.encode(protocol.measure_response("r9", again)[1])

@@ -32,6 +32,7 @@ from repro.obs import trace as obs_trace
 from repro.runtime.faultinject import truncate_source
 from repro.serve import protocol
 from tests.serve.harness import ServerHarness
+from tests._measure import measure_one
 
 pytestmark = pytest.mark.serve
 
@@ -89,7 +90,7 @@ def _measure_body(name: str) -> dict:
 def _expected_bytes(name: str, request_id: str) -> bytes:
     """The response bytes the CLI code path predicts for this request."""
     source, top = _COMPONENTS[name]
-    result = Engine().measure_component_safe([source], top, name=name)
+    result = measure_one(Engine(), [source], top, name=name)
     _status, payload = protocol.measure_response(request_id, result)
     return protocol.encode(payload)
 
@@ -196,7 +197,8 @@ class TestErrorContract:
         assert payload["component"] is not None  # partial result survives
 
         # The wire diagnostics render exactly as the CLI prints them.
-        local = Engine().measure_component_safe(
+        local = measure_one(
+            Engine(),
             [
                 SourceFile(_ADDER.name, _ADDER.text),
                 SourceFile("broken.v", corrupt.text),

@@ -16,6 +16,7 @@ from repro.cache import SynthesisCache
 from repro.core.engine import Engine
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
+from tests._measure import measure_one
 
 pytestmark = pytest.mark.par
 
@@ -37,7 +38,7 @@ def report(tmp_path):
     """A real SynthesisReport, produced once through the actual pipeline."""
     seed_cache = SynthesisCache(tmp_path / "seed-cache")
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
-        result = Engine(cache=seed_cache).measure_component_safe([_SRC], "top_alu")
+        result = measure_one(Engine(cache=seed_cache), [_SRC], "top_alu")
     assert result.ok
     entries = seed_cache.entries()
     assert entries

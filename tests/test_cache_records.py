@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pickle
 import pickletools
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.obs import metrics as obs_metrics
 from repro.runtime.diagnostics import Result
 from repro.synth.report import rebuild_report, report_fields
 from tests.core.test_golden_measure import INLINE, digest
+from tests._measure import measure_one, measure_strict
 
 _SRC = SourceFile(
     "alu.v",
@@ -69,6 +71,21 @@ def test_warm_memo_gives_the_golden_bytes(tmp_path):
     assert counters["cache.measure_hits"] == len(INLINE)
     assert {label: digest(m) for label, m in warm.items()} == INLINE
 
+    # The form of `measure FILES --top T`: one spec per batch, not strict,
+    # named by its top (the one field that differs from the pin).  Warm,
+    # it parses nothing and gives the cold run's bytes.
+    engine = Engine(cache=SynthesisCache(tmp_path / "cli-cache"))
+    for spec in component_specs():
+        sources = load_sources(spec)
+        measure_one(engine, sources, spec.top)
+        served, counters = _counters(
+            lambda: measure_one(engine, sources, spec.top)
+        )
+        assert counters["cache.measure_hits"] == 1
+        assert counters.get("hdl.files_parsed", 0) == 0
+        renamed = replace(served.value, name=spec.label)
+        assert digest(renamed) == INLINE[spec.label], spec.label
+
 
 @pytest.mark.parametrize("spec", component_specs(), ids=lambda s: s.label)
 def test_stored_reports_load_back_byte_identical(tmp_path, spec):
@@ -78,13 +95,15 @@ def test_stored_reports_load_back_byte_identical(tmp_path, spec):
     # report on its own must still round-trip to its fresh bytes.
     cache = SynthesisCache(tmp_path / "cache")
     sources = load_sources(spec)
-    cold = Engine(cache=cache).measure_component(sources, spec.top)
+    cold = measure_strict(Engine(cache=cache), sources, spec.top)
     stored = sorted(
         pickle.dumps(cache.load(path.stem).value) for path in cache.entries()
     )
     assert stored == sorted(pickle.dumps(r) for r in cold.reports.values())
+    for path in cache.measurement_entries():  # probe the synthesis entries
+        path.unlink()
     warm, counters = _counters(
-        lambda: Engine(cache=cache).measure_component(sources, spec.top)
+        lambda: measure_strict(Engine(cache=cache), sources, spec.top)
     )
     assert counters.get("synth.specializations", 0) == 0
     assert warm == cold

@@ -227,7 +227,7 @@ class TestCliExitCode:
         def interrupted(*args, **kwargs):
             raise RunInterrupted(signal.SIGINT, 3, 10)
 
-        monkeypatch.setattr(Engine, "measure_component_safe", interrupted)
+        monkeypatch.setattr(Engine, "measure_components", interrupted)
         rc = cli.main(self._measure_args(tmp_path))
         assert rc == cli.EXIT_INTERRUPTED == 130
         err = capsys.readouterr().err
@@ -241,7 +241,7 @@ class TestCliExitCode:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt()
 
-        monkeypatch.setattr(Engine, "measure_component_safe", interrupted)
+        monkeypatch.setattr(Engine, "measure_components", interrupted)
         rc = cli.main(self._measure_args(tmp_path))
         assert rc == 130
         assert "interrupted" in capsys.readouterr().err

@@ -29,6 +29,25 @@ class TestMeasure:
         main(["measure", rat_file, "--top", "rat_standard", "--no-accounting"])
         assert "Cells" in capsys.readouterr().out
 
+    def test_warm_measure_is_served_from_the_memo(
+        self, capsys, tmp_path, rat_file
+    ):
+        from repro.obs import read_jsonl
+        from repro.obs.report import metrics_row
+
+        def run(trace):
+            args = ["measure", rat_file, "--top", "rat_standard",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--trace", str(trace)]
+            assert main(args) == 0
+            return capsys.readouterr().out, metrics_row(read_jsonl(trace))
+
+        cold_out, _ = run(tmp_path / "cold.jsonl")
+        warm_out, warm = run(tmp_path / "warm.jsonl")
+        assert warm_out == cold_out
+        assert warm["counters"]["cache.measure_hits"] == 1
+        assert "hdl.files_parsed" not in warm["counters"]
+
 
 class TestFit:
     def test_fit_default_is_dee1_on_paper_data(self, capsys):
@@ -388,3 +407,25 @@ class TestMeasureCatalogArgs:
     def test_missing_catalog_dir_is_fatal(self, capsys, tmp_path):
         assert main(["measure", "--catalog", str(tmp_path / "nope")]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_strict_catalog_measures_the_rest_and_exits_2(
+        self, capsys, tmp_path
+    ):
+        # --strict acts on the exit code alone, as for FILES: a module
+        # that fails to parse is reported, the others still measure.
+        import json
+
+        catalog = tmp_path / "catalog"
+        assert main(["gen", "--out", str(catalog), "--count", "3",
+                     "--language", "verilog"]) == 0
+        manifest = json.loads((catalog / "manifest.json").read_text())
+        broken, entry = next(iter(manifest["modules"].items()))
+        (catalog / entry["files"][0]).write_text("module broken(input x; !!\n")
+        capsys.readouterr()
+        code = main(["measure", "--catalog", str(catalog), "--strict"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "2/3 components measured" in captured.out
+        assert f"{broken}" in captured.out
+        assert "error[parse]" in captured.err
+        assert "fatal[measure]" not in captured.err

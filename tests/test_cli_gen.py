@@ -6,6 +6,7 @@ from repro.cli import EXIT_OK, main
 from repro.core.engine import Engine
 from repro.core.accounting import AccountingPolicy
 from repro.hdl.source import SourceFile
+from tests._measure import measure_strict
 
 
 def test_gen_writes_corpus_and_manifest(tmp_path, capsys):
@@ -32,8 +33,8 @@ def test_gen_manifest_truth_is_measurable(tmp_path):
     name, entry = next(iter(manifest["modules"].items()))
     sources = tuple(
         SourceFile(f, (out / f).read_text()) for f in entry["files"])
-    m = Engine().measure_component(sources, entry["top"], name=name,
-                                   policy=AccountingPolicy.disabled())
+    m = measure_strict(Engine(), sources, entry["top"], name=name,
+                       policy=AccountingPolicy.disabled())
     for key, expected in entry["truth"].items():
         assert m.metrics[key] == expected
 

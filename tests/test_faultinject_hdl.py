@@ -17,6 +17,7 @@ from repro.runtime.faultinject import (
     swap_tokens,
     truncate_source,
 )
+from tests._measure import measure_one
 
 pytestmark = pytest.mark.faultinject
 
@@ -46,7 +47,7 @@ _GOOD = SourceFile(
 class TestTruncation:
     def test_truncated_source_fails_parse_with_location(self):
         bad = truncate_source(_GOOD, keep_fraction=0.5)
-        result = Engine().measure_component_safe([bad], "top")
+        result = measure_one(Engine(), [bad], "top")
         assert result.failed
         parse = [d for d in result.diagnostics if d.stage == "parse"]
         assert parse
@@ -81,7 +82,7 @@ class TestTokenSwap:
 
     def test_swapped_source_degrades_not_crashes(self):
         bad = swap_tokens(_GOOD, n_swaps=6, seed=3)
-        result = Engine().measure_component_safe([bad], "top")
+        result = measure_one(Engine(), [bad], "top")
         # Scrambled identifiers must never escape as a raw traceback:
         # whatever stage trips reports a structured diagnostic, and a
         # clean sibling in the same batch is unaffected.
@@ -119,7 +120,7 @@ class TestSynthesisLowering:
     )
 
     def test_unsupported_spec_quarantined_others_aggregated(self):
-        result = Engine().measure_component_safe([self._MIXED], "mixed_top")
+        result = measure_one(Engine(), [self._MIXED], "mixed_top")
         assert result.degraded
         measured = [name for name, _ in result.value.specializations]
         assert "doubler" in measured and "divider" not in measured
@@ -135,7 +136,7 @@ class TestSynthesisLowering:
 class TestGenerateBound:
     def test_runaway_generate_quarantined_at_elaborate(self):
         bad = corrupt_generate_bound(_GOOD)
-        result = Engine().measure_component_safe([bad], "top")
+        result = measure_one(Engine(), [bad], "top")
         assert result.degraded  # software metrics survive
         assert "LoC" in result.value.metrics
         assert "Cells" not in result.value.metrics

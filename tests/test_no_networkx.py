@@ -28,13 +28,16 @@ _RUN = """
 import sys
 import repro.cli, repro.core.engine, repro.flow.metrics, repro.lint.rules
 from repro.core.engine import Engine
+from repro.core.workflow import ComponentSpec
 from repro.designs.catalog import component_specs
 from repro.designs.loader import load_sources
 
 spec = next(s for s in component_specs() if s.label == "RAT-Standard")
 sources = load_sources(spec)
 engine = Engine(cache=None)
-measured = engine.measure_component(sources, spec.top, name=spec.label)
+component = ComponentSpec(spec.label, tuple(sources), spec.top)
+batch = engine.measure_components([component], strict=True)
+measured = batch.results[spec.label].unwrap()
 assert measured.metrics["SpectralRadius"] > 0.0
 engine.lint(sources)
 

@@ -15,6 +15,7 @@ from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.diagnostics import Severity
 from repro.runtime.faultinject import poison_cache
+from tests._measure import measure_one, measure_strict
 
 pytestmark = pytest.mark.par
 
@@ -43,10 +44,29 @@ def _counters():
     return obs_metrics.snapshot()["counters"]
 
 
-def _measure(cache, source=_SRC):
-    """One cached measurement plus the counters it produced."""
+def _drop_memos(cache):
+    """Delete the whole-component memo entries, so the next measurement
+    probes the synthesis entries this suite is about instead of being
+    served whole from the memo."""
+    for path in cache.measurement_entries():
+        path.unlink()
+
+
+def _synthesis_hit_rate(counters):
+    """:func:`hit_rate` over the synthesis-entry probes alone, without
+    the miss of the memo :func:`_drop_memos` dropped."""
+    return hit_rate(
+        {k: counters.get(k, 0) for k in ("cache.hits", "cache.misses")}
+    )
+
+
+def _measure(cache, source=_SRC, *, memo=False):
+    """One cached measurement plus the counters it produced; unless
+    ``memo``, the memo is dropped first (:func:`_drop_memos`)."""
+    if not memo:
+        _drop_memos(cache)
     with obs_metrics.using(obs_metrics.MetricsRegistry()):
-        result = Engine(cache=cache).measure_component_safe([source], "top_alu")
+        result = measure_one(Engine(cache=cache), [source], "top_alu")
         counters = _counters()
     assert result.ok
     return result, counters
@@ -65,13 +85,21 @@ class TestHitMiss:
         warm, counters = _measure(cache)
         assert counters.get("cache.misses", 0) == 0
         assert counters.get("synth.specializations", 0) == 0
-        assert hit_rate(counters) == 1.0
+        assert _synthesis_hit_rate(counters) == 1.0
         assert warm.value.metrics == cold.value.metrics
+        # The warm run stored the memo, which now serves the component
+        # whole: no synthesis entry is probed at all.
+        served, counters = _measure(cache, memo=True)
+        assert counters["cache.measure_hits"] == 1
+        assert counters.get("cache.hits", 0) == 0
+        assert hit_rate(counters) == 1.0
+        assert served.value.metrics == cold.value.metrics
 
     def test_raising_path_shares_the_key_space(self, cache):
         _measure(cache)  # warm through the fault-tolerant path
+        _drop_memos(cache)
         with obs_metrics.using(obs_metrics.MetricsRegistry()):
-            measurement = Engine(cache=cache).measure_component([_SRC], "top_alu")
+            measurement = measure_strict(Engine(cache=cache), [_SRC], "top_alu")
             counters = _counters()
         assert counters.get("cache.misses", 0) == 0
         assert counters.get("synth.specializations", 0) == 0
@@ -138,7 +166,7 @@ class TestCorruption:
         _measure(cache)  # evicts every poisoned entry, re-stores fresh ones
         assert len(cache.entries()) == n_entries
         _, counters = _measure(cache)
-        assert hit_rate(counters) == 1.0
+        assert _synthesis_hit_rate(counters) == 1.0
 
     def test_clear_empties_the_cache(self, cache):
         _measure(cache)

@@ -21,6 +21,7 @@ from repro.gen import clean_kinds, corpus_specs, generate_corpus, violation_corp
 from repro.hdl.source import VERILOG, VHDL, SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.faultinject import truncate_source
+from tests._measure import measure_one
 
 pytestmark = pytest.mark.par
 
@@ -144,8 +145,8 @@ class TestEquivalence:
 
         def run(jobs):
             engine = Engine(jobs=jobs)
-            measured = engine.measure_component_safe(
-                sources, spec.top, name=spec.label
+            measured = measure_one(
+                engine, sources, spec.top, name=spec.label
             )
             report = engine.lint(linted)
             return [
